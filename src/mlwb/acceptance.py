@@ -17,8 +17,8 @@ from pathlib import Path
 from .dense import DenseFrame, STOP, canonical, counterexample_g, \
     density_witness, enumerate_paths_with_stops, f0, f0_image_check, \
     is_member_uk, uk_members, validate_stopword
-from .entangle import EntangleSpace, build_psi, entangle_enumerate, equiv, \
-    equiv_bruteforce, h, t, xi
+from .entangle import EntangleSpace, build_psi, canonicalize, \
+    entangle_enumerate, equiv, equiv_bruteforce, h, t, xi
 from .horn import HornTheory, axiom_to_horn, axioms_to_theory, gamma_close, \
     transitive_closure_squaring
 from .kripke import KripkeFrame, KripkeModel, KripkeMorphism, \
@@ -299,18 +299,13 @@ def criterion_9_equiv_oracle() -> dict:
     space = EntangleSpace(chain, sigma2=("1", "2"))
     words = entangle_enumerate(space, 6)
     mismatches = 0
-    canonical_of = {}
-    for w in words:
-        x = list(w)
-        while x and space.is_w(x[-1]):
-            x.pop()
-        canonical_of[w] = tuple(x)
+    canonical_of = {w: canonicalize(space, w) for w in words}
     for u in words:
         for v in words:
             fast = canonical_of[u] == canonical_of[v]
             if fast != equiv_bruteforce(space, u, v):
                 mismatches += 1
-    # spot-check that the public equiv agrees with the inlined fast path
+    # spot-check that the public equiv agrees with the canonical forms
     rng = random.Random(9)
     for _ in range(500):
         u, v = rng.choice(words), rng.choice(words)

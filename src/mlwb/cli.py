@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when a check finds a refutation or violation
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .dense import counterexample_g
@@ -17,7 +18,8 @@ from .kripke import EvaluationError, KripkeModel, KripkeMorphism, \
 from .neighbourhood import NMorphism, check_n_pmorphism, parse_nframe
 from .predicate import PredKKMorphism, PredNKMorphism, check_kk_morphism, \
     check_nk_morphism, parse_domains
-from .syntax import ParseError, parse_prop, to_text
+from .syntax import ParseError, content_lines, parse_prop, parse_set, \
+    split_sections, to_text
 from .pipeline import parse_scenario, render_report, run_pipeline
 
 
@@ -33,33 +35,9 @@ def _read(path: str) -> str:
         raise InputError(str(e)) from None
 
 
-def _sections(text: str) -> dict:
-    out = {}
-    current = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            out[current] = []
-        elif current is not None:
-            out[current].append(raw)
-        elif stripped and not stripped.startswith("#"):
-            raise InputError(f"content before first section: {stripped!r}")
-    return {k: "\n".join(v) for k, v in out.items()}
-
-
-def _require(sections: dict, *names: str) -> None:
-    for name in names:
-        if name not in sections:
-            raise InputError(f"missing [{name}] section")
-
-
 def _parse_map(text: str) -> dict:
     mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "->" not in line:
             raise InputError(f"map line {lineno}: expected 'x -> y'")
         left, right = line.split("->", 1)
@@ -69,10 +47,7 @@ def _parse_map(text: str) -> dict:
 
 def _parse_element_map(text: str) -> dict:
     mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not line.startswith("at ") or ":" not in line or "->" not in line:
             raise InputError(
                 f"elements line {lineno}: expected 'at w : a -> d'")
@@ -105,8 +80,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    sections = _sections(_read(args.model))
-    _require(sections, "frame", "valuation")
+    sections = split_sections(_read(args.model), "frame", "valuation")
     frame = parse_frame(sections["frame"])
     model = KripkeModel(frame, parse_valuation(sections["valuation"]))
     a = parse_prop(args.formula)
@@ -137,22 +111,18 @@ def cmd_unravel(args) -> int:
 
 
 def cmd_pmorph(args) -> int:
-    sections = _sections(_read(args.file))
-    if args.kind == "kripke":
-        _require(sections, "source", "target", "map")
-        f = KripkeMorphism(parse_frame(sections["source"]),
-                           parse_frame(sections["target"]),
-                           _parse_map(sections["map"]))
-        verdict = check_pmorphism(f)
-    elif args.kind == "nframe":
-        _require(sections, "source", "target", "map")
-        f = NMorphism(parse_nframe(sections["source"]),
-                      parse_nframe(sections["target"]),
-                      _parse_map(sections["map"]))
-        verdict = check_n_pmorphism(f)
+    text = _read(args.file)
+    if args.kind in ("kripke", "nframe"):
+        parse, morphism, check = {
+            "kripke": (parse_frame, KripkeMorphism, check_pmorphism),
+            "nframe": (parse_nframe, NMorphism, check_n_pmorphism)}[args.kind]
+        sections = split_sections(text, "source", "target", "map")
+        verdict = check(morphism(parse(sections["source"]),
+                                 parse(sections["target"]),
+                                 _parse_map(sections["map"])))
     elif args.kind == "kk":
-        _require(sections, "source", "source-domains", "target",
-                 "target-domains", "map", "elements")
+        sections = split_sections(text, "source", "source-domains", "target",
+                                  "target-domains", "map", "elements")
         source = parse_domains(sections["source-domains"],
                                parse_frame(sections["source"]))
         target = parse_domains(sections["target-domains"],
@@ -163,15 +133,13 @@ def cmd_pmorph(args) -> int:
                            _parse_element_map(sections["elements"]))
         verdict = check_kk_morphism(m)
     else:
-        _require(sections, "space", "dstar", "target", "target-domains",
-                 "map", "elements")
-        dstar_line = sections["dstar"].strip()
-        if "=" not in dstar_line:
-            raise InputError("expected 'dstar = {...}' in [dstar]")
-        rhs = dstar_line.split("=", 1)[1].strip()
-        if not (rhs.startswith("{") and rhs.endswith("}")):
-            raise InputError("expected set braces in [dstar]")
-        dstar = frozenset(d.strip() for d in rhs[1:-1].split(",") if d.strip())
+        sections = split_sections(text, "space", "dstar", "target",
+                                  "target-domains", "map", "elements")
+        lines = list(content_lines(sections["dstar"]))
+        if len(lines) != 1 or "=" not in lines[0][1]:
+            raise InputError("expected one 'dstar = {...}' line in [dstar]")
+        lineno, line = lines[0]
+        dstar = frozenset(parse_set(line.split("=", 1)[1], lineno))
         target = parse_domains(sections["target-domains"],
                                parse_frame(sections["target"]))
         m = PredNKMorphism(parse_nframe(sections["space"]), target, dstar,
@@ -205,7 +173,7 @@ def cmd_dense_counterexample(args) -> int:
 def cmd_pipeline(args) -> int:
     scenario = parse_scenario(_read(args.scenario), name=args.scenario)
     if args.seed is not None:
-        scenario = type(scenario)(**{**scenario.__dict__, "seed": args.seed})
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_pipeline(scenario)
     print(render_report(report), end="")
     return 0 if report.ok else 1

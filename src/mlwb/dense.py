@@ -21,7 +21,7 @@ from typing import Optional
 from .horn import HornTheory, chain_axiom_powers, gamma_close
 from .kripke import (
     STOP, BudgetExceeded, EvaluationError, KripkeFrame, Verdict,
-    brute_validity, check_axiom_inclusion, unravel,
+    brute_validity, grow_words, relation_compose, unravel,
 )
 from .syntax import Box, Falsum, Formula, Implies, Letter, modal_depth
 
@@ -83,18 +83,11 @@ def f0(word, frame: KripkeFrame) -> tuple:
 def enumerate_paths_with_stops(frame: KripkeFrame, max_len: int) -> list:
     """All finite paths with stops of length <= max_len (raw words; trailing
     zeros allowed, so this is the paper's finite-word notion)."""
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        new = []
-        for word in frontier:
-            endpoint = ((frame.root,) + dropped(word))[-1]
-            steps = [STOP] + sorted(frame.successors(endpoint), key=repr)
-            for a in steps:
-                new.append(word + (a,))
-        out.extend(new)
-        frontier = new
-    return out
+    def steps(word):
+        endpoint = ((frame.root,) + dropped(word))[-1]
+        return [(a,) for a in [STOP] + sorted(frame.successors(endpoint),
+                                              key=repr)]
+    return grow_words(steps, max_len)
 
 
 def enumerate_canonical(frame: KripkeFrame, max_len: int) -> list:
@@ -180,12 +173,6 @@ class DenseFrame:
         return out
 
 
-@dataclass(frozen=True)
-class DenseMorphismReport:
-    ok: bool
-    detail: dict
-
-
 # ---------------------------------------------------------------------------
 # U_k membership and enumeration
 
@@ -220,13 +207,19 @@ def uk_members(alpha, k: int, df: DenseFrame):
             members.append(canonical(alpha))
             continue
         families.append((pre, ext))
-        for js in itertools.product(range(df.j_max + 1), repeat=len(ext)):
-            word = list(pre)
-            for j, c in zip(js, ext):
-                word.extend([STOP] * j)
-                word.append(c)
-            members.append(canonical(word))
+        members.extend(word for _, word in padded_words(pre, ext, df.j_max))
     return members, families
+
+
+def padded_words(pre, ext, j_max: int):
+    """``(js, word)`` for every padding ``js`` in 0..j_max per letter, where
+    ``word`` is the canonical form of ``pre . 0^j1 c1 ... 0^jr cr``."""
+    for js in itertools.product(range(j_max + 1), repeat=len(ext)):
+        word = list(pre)
+        for j, c in zip(js, ext):
+            word.extend([STOP] * j)
+            word.append(c)
+        yield js, canonical(word)
 
 
 def density_witness(alpha, n: int, beta, df: DenseFrame) -> int:
@@ -266,20 +259,6 @@ class ParityVal:
         return (len(w) >= 1 and w[-1] == self.letter
                 and all(a == STOP for a in w[:-1])
                 and (len(w) - 1) % 2 == self.parity)
-
-    def max_len(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
-class PathVal:
-    """Membership factors through f0."""
-
-    paths: frozenset  # of rooted path tuples
-    frame: KripkeFrame
-
-    def member(self, word) -> bool:
-        return f0(word, self.frame) in self.paths
 
     def max_len(self) -> int:
         return 0
@@ -355,8 +334,6 @@ def classify_letter(val, pre: tuple, b: str) -> TailFn:
         if b != val.letter or any(a != STOP for a in pre):
             return TailFn.const(False)
         return TailFn((), (m % 2) == val.parity, ((m + 1) % 2) == val.parity)
-    if isinstance(val, PathVal):
-        return TailFn.const(val.member(pre + (b,)))
     raise EvaluationError(f"unclassifiable valuation {val!r}")
 
 
@@ -384,9 +361,6 @@ class EvalVerdict:
     value: Optional[bool]
     certified: bool
     witness: Optional[tuple] = None
-
-    def known(self) -> bool:
-        return self.value is not None
 
 
 @dataclass(frozen=True)
@@ -512,15 +486,17 @@ def counterexample_g(k_max: int = 10) -> dict:
     for k in range(k_max + 1):
         true_word = (STOP,) * k + ("1",) if k % 2 == 0 else (STOP,) * (k + 1) + ("1",)
         false_word = (STOP,) * (k + 1) + ("1",) if k % 2 == 0 else (STOP,) * k + ("1",)
-        assert is_member_uk(canonical(true_word), alpha, k, df)
-        assert is_member_uk(canonical(false_word), alpha, k, df)
-        assert parity.member(true_word) and not parity.member(false_word)
+        if not (is_member_uk(canonical(true_word), alpha, k, df)
+                and is_member_uk(canonical(false_word), alpha, k, df)
+                and parity.member(true_word)
+                and not parity.member(false_word)):
+            raise AssertionError(f"parity witnesses fail at k = {k}")
         witnesses[k] = (format_compact(canonical(true_word)),
                         format_compact(canonical(false_word)))
     # dia p -> box p is a depth-one scheme: it is frame-valid exactly when
     # no world has two distinct successors, which holds per construction;
     # brute-force validity cross-checks the equivalence on a small instance
-    axiom = Implies(dia_p_formula(), Box(1, p))
+    axiom = Implies(dia_p, Box(1, p))
     functional = all(
         sum(1 for (u, v) in frame.relation if u == w) <= 1
         for w in frame.worlds)
@@ -537,10 +513,6 @@ def counterexample_g(k_max: int = 10) -> dict:
         "witnesses": witnesses,
         "kripke_validates_dia_p_implies_box_p": kripke_valid,
     }
-
-
-def dia_p_formula() -> Formula:
-    return Implies(Box(1, Implies(Letter("p"), Falsum())), Falsum())
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +546,7 @@ def f0_image_check(alpha, k: int, df: DenseFrame) -> Verdict:
 
 
 def f0_pmorphism_check(df: DenseFrame, n_samples: int = 50,
-                       seed: int = 0, k_values=(0, 1, 2, 3)) -> DenseMorphismReport:
+                       seed: int = 0, k_values=(0, 1, 2, 3)) -> dict:
     """Sampled zig/zag of f0 against the principal bases of N(unravelling)."""
     frame = df.frame
     rng = random.Random(seed)
@@ -583,8 +555,7 @@ def f0_pmorphism_check(df: DenseFrame, n_samples: int = 50,
     for path in sorted(df.interior_paths(), key=repr):
         word = canonical(path[1:])
         if f0(word, frame) != path:
-            return DenseMorphismReport(False, {"stage": "surjectivity",
-                                               "path": path})
+            return {"ok": False, "stage": "surjectivity", "path": path}
     candidates = [w for w in enumerate_canonical(frame, df.depth - 2)
                   if f0(w, frame) in df.interior_paths()]
     sample = candidates if len(candidates) <= n_samples else \
@@ -597,12 +568,11 @@ def f0_pmorphism_check(df: DenseFrame, n_samples: int = 50,
             except BudgetExceeded:
                 continue
             if not verdict:
-                return DenseMorphismReport(False, {
-                    "stage": "zig-zag", "alpha": alpha, "k": k,
-                    "condition": verdict.condition, "witness": verdict.witness})
+                return {"ok": False, "stage": "zig-zag", "alpha": alpha,
+                        "k": k, "condition": verdict.condition,
+                        "witness": verdict.witness}
             checked += 1
-    return DenseMorphismReport(True, {"sampled_points": len(sample),
-                                      "image_checks": checked})
+    return {"ok": True, "sampled_points": len(sample), "image_checks": checked}
 
 
 def chain_collapse_check(df: DenseFrame, n: int, m: int,
@@ -621,7 +591,7 @@ def chain_collapse_check(df: DenseFrame, n: int, m: int,
                     if u in sub_worlds and v in sub_worlds)
     cur = frozenset((w, w) for w in sub_worlds)
     for _ in range(n):
-        cur = frozenset((u, w) for u, v in cur for u2, w in rel if u2 == v)
+        cur = relation_compose(cur, rel)
     for u, v in cur:
         if u in safe and (u, v) not in rel:
             raise ValueError(f"precondition failed: closed unravelling lacks"

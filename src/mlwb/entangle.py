@@ -14,9 +14,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
+from .dense import DenseFrame, canonical, dropped, f0, padded_words, st, \
+    uk_members
 from .kripke import (
-    STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict,
+    STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
 )
 from .predicate import PredKKMorphism, PredKripkeFrame, check_kk_morphism
 
@@ -66,12 +67,6 @@ def p2(space: EntangleSpace, word) -> tuple:
     return (space.root_symbol(),) + tuple(a for a in word if space.is_d(a))
 
 
-def pi(word):
-    if not word:
-        raise EvaluationError("pi is undefined on the empty word")
-    return word[-1]
-
-
 def _is_path(frame: KripkeFrame, path: tuple) -> bool:
     if not path or path[0] != frame.root:
         return False
@@ -91,15 +86,9 @@ def is_entangled(space: EntangleSpace, word) -> bool:
 
 
 def entangle_enumerate(space: EntangleSpace, max_len: int) -> list:
-    out = [()]
-    frontier = [()]
     letters = sorted(space.frame.worlds) + list(space.sigma2)
-    for _ in range(max_len):
-        new = [w + (a,) for w in frontier for a in letters
-               if is_entangled(space, w + (a,))]
-        out.extend(new)
-        frontier = new
-    return out
+    return grow_words(lambda w: [(a,) for a in letters
+                                 if is_entangled(space, w + (a,))], max_len)
 
 
 def fiber(space: EntangleSpace, path: tuple, max_len: int) -> list:
@@ -108,21 +97,26 @@ def fiber(space: EntangleSpace, path: tuple, max_len: int) -> list:
     if not _is_path(space.frame, path):
         raise ValueError(f"not a rooted path: {path!r}")
     steps = path[1:]
-    n = len(steps)
     out = []
-    for total in range(n, max_len + 1):
-        k = total - n  # number of domain letters
-        for positions in itertools.combinations(range(total), n):
-            for fillers in itertools.product(space.sigma2, repeat=k):
-                word = [None] * total
-                for idx, pos in enumerate(positions):
-                    word[pos] = steps[idx]
-                it = iter(fillers)
-                for i in range(total):
-                    if word[i] is None:
-                        word[i] = next(it)
-                out.append(tuple(word))
+    for total in range(len(steps), max_len + 1):
+        out.extend(_interleave(steps, space.sigma2, total - len(steps), total))
     return out
+
+
+def _interleave(steps, sigma2, k: int, slots: int):
+    """Words of the ``steps`` in order, at positions chosen among the first
+    ``slots``, with ``k`` letters of ``sigma2`` filling the other places."""
+    total = len(steps) + k
+    for positions in itertools.combinations(range(slots), len(steps)):
+        for fillers in itertools.product(sigma2, repeat=k):
+            word = [None] * total
+            for idx, pos in enumerate(positions):
+                word[pos] = steps[idx]
+            it = iter(fillers)
+            for i in range(total):
+                if word[i] is None:
+                    word[i] = next(it)
+            yield tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +141,8 @@ def equiv(space: EntangleSpace, x, y) -> bool:
 
 
 def equiv_bruteforce(space: EntangleSpace, x, y) -> bool:
-    """Oracle: x = t.c and y = t.d for an entangled t and c,d over W."""
+    """Oracle: x = t.c and y = t.d for an entangled t and c,d over W.
+    Kept apart from ``equiv`` as the independent side of criterion 9."""
     x, y = tuple(x), tuple(y)
     for i in range(len(x) + 1):
         if not all(space.is_w(a) for a in x[i:]):
@@ -174,19 +169,10 @@ def dsharp(space: EntangleSpace, path: tuple, max_sigma: int) -> frozenset:
     steps = path[1:]
     classes = {()}
     for plen in range(len(steps) + 1):
-        prefix = steps[:plen]
         for k in range(1, max_sigma + 1):
-            total = plen + k
-            for positions in itertools.combinations(range(total - 1), plen):
-                for fillers in itertools.product(space.sigma2, repeat=k):
-                    word = [None] * total
-                    for idx, pos in enumerate(positions):
-                        word[pos] = prefix[idx]
-                    it = iter(fillers)
-                    for i in range(total):
-                        if word[i] is None:
-                            word[i] = next(it)
-                    classes.add(tuple(word))
+            # the last place is left to a domain letter
+            classes.update(_interleave(steps[:plen], space.sigma2, k,
+                                       plen + k - 1))
     return frozenset(classes)
 
 
@@ -322,13 +308,7 @@ def _witness_gamma(space, alpha, alpha_prime, ybar, cls):
         if xi(space, alpha, guess) == cls:
             return guess
     sigmas = [c for c in cls if space.is_d(c)]
-    gap_cap = len(canonical(alpha)) + 2
-    for gaps in itertools.product(range(gap_cap + 1), repeat=len(sigmas)):
-        word = []
-        for g, c in zip(gaps, sigmas):
-            word.extend([STOP] * g)
-            word.append(c)
-        gamma = canonical(word)
+    for _, gamma in padded_words((), sigmas, len(canonical(alpha)) + 2):
         if xi(space, alpha, gamma) == cls:
             return gamma
     return None

@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 from .kripke import KripkeFrame, KripkeMorphism, Verdict, check_pmorphism
-from .syntax import HAnd, HAtom, HBody, HOr, HTrue, HornSentence
+from .syntax import HAnd, HAtom, HBody, HOr, HTrue, HornSentence, \
+    content_lines, parse_horn
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,9 @@ def _chain_power(s: HornSentence):
 
 
 def transitive_closure_squaring(relation: frozenset) -> frozenset:
-    """Independent oracle: iterative squaring until stable."""
+    """Independent oracle: iterative squaring until stable.  Kept apart
+    from ``gamma_close`` and ``relation_compose``: criterion 4 checks the
+    closure against it."""
     def compose(r1, r2):
         by_left: dict = {}
         for u, v in r2:
@@ -181,11 +184,4 @@ def transitive_closure_squaring(relation: frozenset) -> frozenset:
 
 def parse_horn_theory(text: str) -> HornTheory:
     """One sentence per line; ``#`` starts a comment."""
-    from .syntax import parse_horn
-
-    sentences = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            sentences.append(parse_horn(line))
-    return HornTheory(tuple(sentences))
+    return HornTheory(tuple(parse_horn(line) for _, line in content_lines(text)))

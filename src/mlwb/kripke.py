@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import FALSUM, Box, Falsum, Formula, Implies, Letter, box_power, letters
+from .syntax import FALSUM, Box, Falsum, Formula, Implies, Letter, box_power, \
+    content_lines, letters, parse_set
 
 STOP = "0"
 
@@ -105,6 +106,7 @@ class KripkeModel:
         return frozenset(self.valuation[p])
 
 
+# kept apart from neighbourhood.eval_nbhd: criterion 7 compares the two
 def eval_kripke(model: KripkeModel, w, a: Formula) -> bool:
     if w not in model.frame.worlds:
         raise EvaluationError(f"unknown world {w!r}")
@@ -169,8 +171,10 @@ def check_pmorphism(f: KripkeMorphism) -> Verdict:
     return Verdict(True)
 
 
-def pullback_valuation(f: KripkeMorphism, valuation: dict) -> dict:
-    return {p: frozenset(w for w in f.source.worlds if f.map[w] in ws)
+def pullback_valuation(f, valuation: dict) -> dict:
+    """Preimages of the extensions under the map of a Kripke or a
+    neighbourhood morphism."""
+    return {p: frozenset(x for x, y in f.map.items() if y in ws)
             for p, ws in valuation.items()}
 
 
@@ -181,21 +185,31 @@ def truth_preservation_test(f: KripkeMorphism, samples: int = 1000,
     For random (target valuation, formula of modal depth <= 3, point) triples,
     evaluates on both sides with the pullback valuation on the source.
     """
-    verdict = check_pmorphism(f)
+    return sample_truth_preservation(f, check_pmorphism, eval_kripke,
+                                     KripkeModel, f.target.worlds,
+                                     f.lifting_points(), samples, seed)
+
+
+def sample_truth_preservation(f, check, evaluate, model, target_points,
+                              source_points, samples: int, seed: int) -> dict:
+    """The sampler behind both truth-preservation tests: ``check`` verifies
+    ``f`` first, ``evaluate`` and ``model`` give the semantics, and points
+    are drawn from ``source_points``."""
+    verdict = check(f)
     if not verdict:
         raise ValueError(f"morphism not verified: {verdict.condition}")
     rng = random.Random(seed)
-    tgt_worlds = sorted(f.target.worlds, key=repr)
-    src_worlds = sorted(f.lifting_points(), key=repr)
+    tgt_points = sorted(target_points, key=repr)
+    src_points = sorted(source_points, key=repr)
     passed = 0
     failures = []
     for _ in range(samples):
-        val = {p: frozenset(w for w in tgt_worlds if rng.random() < 0.5)
+        val = {p: frozenset(w for w in tgt_points if rng.random() < 0.5)
                for p in ("p", "q")}
         a = random_formula(rng, ["p", "q"], depth=3)
-        x = rng.choice(src_worlds)
-        left = eval_kripke(KripkeModel(f.source, pullback_valuation(f, val)), x, a)
-        right = eval_kripke(KripkeModel(f.target, val), f.map[x], a)
+        x = rng.choice(src_points)
+        left = evaluate(model(f.source, pullback_valuation(f, val)), x, a)
+        right = evaluate(model(f.target, val), f.map[x], a)
         if left == right:
             passed += 1
         elif len(failures) < 5:
@@ -223,7 +237,8 @@ def brute_validity(frame: KripkeFrame, a: Formula, cap: int = 2 ** 20) -> bool:
     """True iff ``a`` holds at every world under every valuation.
 
     Enumerates all valuations; refuses (loudly) when 2^(|letters|*|W|)
-    exceeds ``cap`` rather than sampling.
+    exceeds ``cap`` rather than sampling.  Kept as the independent oracle
+    for the relational checks in criteria 1 and 5.
     """
     names = sorted(letters(a))
     worlds = sorted(frame.worlds, key=repr)
@@ -299,15 +314,10 @@ def unravel(frame: KripkeFrame, depth: int) -> Unravelling:
         raise ValueError("depth must be >= 1")
     if not frame.is_rooted():
         raise ValueError("frame must be rooted")
-    paths = [(frame.root,)]
-    frontier = [(frame.root,)]
-    for _ in range(depth - 1):
-        new = []
-        for path in frontier:
-            for v in sorted(frame.successors(path[-1]), key=repr):
-                new.append(path + (v,))
-        paths.extend(new)
-        frontier = new
+    def steps(word):
+        end = word[-1] if word else frame.root
+        return [(v,) for v in sorted(frame.successors(end), key=repr)]
+    paths = [(frame.root,) + word for word in grow_words(steps, depth - 1)]
     path_set = frozenset(paths)
     rel = frozenset((p, q) for p in paths for q in path_set
                     if len(q) == len(p) + 1 and q[:-1] == p)
@@ -316,6 +326,17 @@ def unravel(frame: KripkeFrame, depth: int) -> Unravelling:
     pi = KripkeMorphism(unravelled, frame, {p: p[-1] for p in paths},
                         interior=interior)
     return Unravelling(unravelled, pi, interior)
+
+
+def grow_words(steps, rounds: int) -> list:
+    """The empty word and, round by round, every word of the last round
+    extended by each suffix in ``steps(word)``."""
+    out = [()]
+    frontier = [()]
+    for _ in range(rounds):
+        frontier = [word + step for word in frontier for step in steps(word)]
+        out.extend(frontier)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +349,7 @@ def parse_frame(text: str) -> KripkeFrame:
     worlds: list = []
     edges: list = []
     root = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         head, *rest = line.split()
         if head == "frame":
             continue
@@ -356,19 +374,11 @@ def parse_frame(text: str) -> KripkeFrame:
 def parse_valuation(text: str) -> dict:
     """``val p = {w1,w2}`` per line."""
     val = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not line.startswith("val ") or "=" not in line:
             raise ValueError(f"line {lineno}: expected 'val p = {{...}}'")
         name, rhs = line[4:].split("=", 1)
-        rhs = rhs.strip()
-        if not (rhs.startswith("{") and rhs.endswith("}")):
-            raise ValueError(f"line {lineno}: expected set braces")
-        inner = rhs[1:-1].strip()
-        members = frozenset(w.strip() for w in inner.split(",") if w.strip())
-        val[name.strip()] = members
+        val[name.strip()] = frozenset(parse_set(rhs, lineno))
     return val
 
 

@@ -7,13 +7,12 @@ base) are permitted.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
-    random_formula
-from .syntax import Box, Falsum, Formula, Implies, Letter
+    sample_truth_preservation
+from .syntax import Box, Falsum, Formula, Implies, Letter, content_lines, \
+    parse_set
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,6 @@ class NFrame:
     def is_neighbourhood(self, x, u: frozenset) -> bool:
         return any(m <= u for m in self.base[x])
 
-    def filter_of(self, x) -> frozenset:
-        """Materialized filter; exponential, only for tiny cross-checks."""
-        import itertools
-        out = set()
-        for size in range(len(self.points) + 1):
-            for combo in itertools.combinations(sorted(self.points, key=repr), size):
-                u = frozenset(combo)
-                if self.is_neighbourhood(x, u):
-                    out.add(u)
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class NModel:
@@ -68,6 +56,7 @@ class NModel:
         return frozenset(self.valuation[p])
 
 
+# kept apart from kripke.eval_kripke: criterion 7 compares the two
 def eval_nbhd(model: NModel, x, a: Formula) -> bool:
     if x not in model.frame.points:
         raise EvaluationError(f"unknown point {x!r}")
@@ -134,33 +123,11 @@ def n_morphism_from_kripke(f: KripkeMorphism) -> NMorphism:
     return NMorphism(nf_from_kripke(f.source), nf_from_kripke(f.target), dict(f.map))
 
 
-def pullback_valuation(f: NMorphism, valuation: dict) -> dict:
-    return {p: frozenset(x for x in f.source.points if f.map[x] in ws)
-            for p, ws in valuation.items()}
-
-
 def n_truth_preservation_test(f: NMorphism, samples: int = 1000,
                               seed: int = 0) -> dict:
-    verdict = check_n_pmorphism(f)
-    if not verdict:
-        raise ValueError(f"morphism not verified: {verdict.condition}")
-    rng = random.Random(seed)
-    tgt_points = sorted(f.target.points, key=repr)
-    src_points = sorted(f.source.points, key=repr)
-    passed = 0
-    failures = []
-    for _ in range(samples):
-        val = {p: frozenset(x for x in tgt_points if rng.random() < 0.5)
-               for p in ("p", "q")}
-        a = random_formula(rng, ["p", "q"], depth=3)
-        x = rng.choice(src_points)
-        left = eval_nbhd(NModel(f.source, pullback_valuation(f, val)), x, a)
-        right = eval_nbhd(NModel(f.target, val), f.map[x], a)
-        if left == right:
-            passed += 1
-        elif len(failures) < 5:
-            failures.append((x, a, val))
-    return {"samples": samples, "passed": passed, "failures": failures}
+    return sample_truth_preservation(f, check_n_pmorphism, eval_nbhd, NModel,
+                                     f.target.points, f.source.points,
+                                     samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +138,7 @@ def parse_nframe(text: str) -> NFrame:
     """``nframe <name>``, ``points x y ...``, ``base x = {a,b} {c} ...``"""
     points: list = []
     base: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         head, *rest = line.split(None, 1)
         if head == "nframe":
             continue
@@ -185,14 +149,8 @@ def parse_nframe(text: str) -> NFrame:
                 points.append(x)
         elif head == "base":
             lhs, rhs = rest[0].split("=", 1)
-            x = lhs.strip()
-            members = []
-            for chunk in rhs.split():
-                if not (chunk.startswith("{") and chunk.endswith("}")):
-                    raise ValueError(f"line {lineno}: bad base set {chunk!r}")
-                inner = chunk[1:-1]
-                members.append(frozenset(p for p in inner.split(",") if p))
-            base[x] = tuple(members)
+            base[lhs.strip()] = tuple(frozenset(parse_set(chunk, lineno))
+                                      for chunk in rhs.split())
         else:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     return NFrame.make(points, base)

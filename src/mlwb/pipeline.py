@@ -24,19 +24,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import itertools
-
 from .dense import DenseFrame, STOP, canonical, enumerate_canonical, f0, \
-    restrict, st, uk_members
+    padded_words, restrict, st, uk_members
 from .entangle import EntangleSpace, build_psi, xi, xi_locality_check, \
     xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, check_axiom_inclusion, \
-    parse_frame
+    grow_words, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
-from .syntax import Atom, Box, Const, Falsum, Forall, Implies, modal_depth, \
-    parse_pred, to_text, universal_closure
+from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
+    modal_depth, parse_pred, parse_set, split_sections, subformulas, to_text, \
+    universal_closure
 
 
 @dataclass(frozen=True)
@@ -78,57 +77,57 @@ class PipelineReport:
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    sections = _split_sections(text)
-    for required in ("frame", "domains", "valuation", "formula"):
-        if required not in sections:
-            raise ValueError(f"missing [{required}] section")
+    sections = split_sections(text, "frame", "domains", "valuation", "formula")
     frame = parse_frame(sections["frame"])
     pframe = parse_domains(sections["domains"], frame)
     model = parse_pred_valuation(sections["valuation"], pframe)
-    formula_lines = [l for l in sections["formula"].splitlines()
-                     if l.split("#", 1)[0].strip()]
+    formula_lines = list(content_lines(sections["formula"]))
     if len(formula_lines) != 1:
         raise ValueError("[formula] must contain exactly one formula")
-    formula = universal_closure(parse_pred(formula_lines[0].split("#", 1)[0]))
+    formula = universal_closure(parse_pred(formula_lines[0][1]))
+    for sub in subformulas(formula):
+        if isinstance(sub, Atom) and sub.name not in model.valuation:
+            raise ValueError(f"predicate {sub.name!r} has no valuation entry")
     gamma = None
     if sections.get("horn", "").strip():
         gamma = parse_horn_theory(sections["horn"])
+        if chain_axiom_powers(gamma) is None:
+            raise ValueError("Gamma must consist of chain sentences")
     bounds = {"depth": 5, "k_max": 8, "j_max": 4, "max_sigma": 2, "seed": 0}
     sigma2 = ("1", "2")
-    for lineno, raw in enumerate(sections.get("bounds", "").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(sections.get("bounds", "")):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "dalphabet":
-            if not (value.startswith("{") and value.endswith("}")):
-                raise ValueError(f"bounds line {lineno}: dalphabet = {{...}}")
-            sigma2 = tuple(s.strip() for s in value[1:-1].split(","))
+            sigma2 = tuple(parse_set(value, lineno))
+            if not sigma2:
+                raise ValueError(f"bounds line {lineno}: empty dalphabet")
         elif key in bounds:
             bounds[key] = int(value)
         else:
             raise ValueError(f"bounds line {lineno}: unknown key {key!r}")
+    _check_bounds(frame, bounds)
     return Scenario(name, pframe, model, formula, gamma,
                     sigma2=sigma2, **bounds)
 
 
-def _split_sections(text: str) -> dict:
-    sections = {}
-    current = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            if current in sections:
-                raise ValueError(f"duplicate section [{current}]")
-            sections[current] = []
-            continue
-        if current is not None:
-            sections[current].append(raw)
-        elif stripped and not stripped.startswith("#"):
-            raise ValueError(f"content before first section: {stripped!r}")
-    return {k: "\n".join(v) for k, v in sections.items()}
+def _check_bounds(frame, bounds: dict) -> None:
+    """Rejects bounds under which a stage must fail.  The unravelling of
+    depth d holds the paths of at most d worlds, so it reaches every world
+    from one more than the root's eccentricity."""
+    reached, frontier, eccentricity = set(), {frame.root}, -1
+    while frontier:
+        reached |= frontier
+        frontier = {v for u in frontier for v in frame.successors(u)} - reached
+        eccentricity += 1
+    if reached != frame.worlds:
+        raise ValueError("the frame must be rooted: every world reachable"
+                         " from the root")
+    least = {"depth": eccentricity + 1, "j_max": 0, "max_sigma": 1}
+    for key, value in least.items():
+        if bounds[key] < value:
+            raise ValueError(f"{key} = {bounds[key]} is below its minimum"
+                             f" {value} for this scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +138,8 @@ def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     """Canonical domain stop words with at most max_sigma letters and zero
     runs capped at gap_max.  Longer runs produce the same domain maps at
     every truncated path, so this family is profile-complete."""
-    out = [()]
-    frontier = [()]
-    for _ in range(max_sigma):
-        new = []
-        for word in frontier:
-            for gap in range(gap_max + 1):
-                for s in sigma2:
-                    new.append(word + (STOP,) * gap + (s,))
-        out.extend(new)
-        frontier = new
-    return out
+    steps = [(STOP,) * gap + (s,) for gap in range(gap_max + 1) for s in sigma2]
+    return grow_words(lambda word: steps, max_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +206,8 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         from .dense import f0_pmorphism_check
         df, space = ctx["df"], ctx["space"]
         rep = f0_pmorphism_check(df, n_samples=20, seed=s.seed)
-        if not rep.ok:
-            return {"ok": False, **rep.detail}
+        if not rep.pop("ok"):
+            return {"ok": False, **rep}
         alphas = _sample_points(df, rng, 6)
         surj_checked = loc_checked = 0
         for alpha in alphas:
@@ -233,7 +223,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                             "alpha": alpha, "gamma": gamma,
                             "mismatches": loc["mismatches"][:3]}
                 loc_checked += loc["members"]
-        return {"f0_zigzag": rep.detail, "xi_classes_checked": surj_checked,
+        return {"f0_zigzag": rep, "xi_classes_checked": surj_checked,
                 "xi_locality_members": loc_checked}
 
     def composition_stage():
@@ -404,13 +394,8 @@ class DenseEvaluator:
                 value = value and v
                 certified = certified and c
                 continue
-            verdicts = {}
-            for js in itertools.product(range(j_max + 1), repeat=len(ext)):
-                word = list(pre)
-                for j, letter in zip(js, ext):
-                    word.extend([STOP] * j)
-                    word.append(letter)
-                verdicts[js] = self.eval(canonical(word), a.body, env)
+            verdicts = {js: self.eval(word, a.body, env)
+                        for js, word in padded_words(pre, ext, j_max)}
             generic_v, generic_c = verdicts[(j_max,) * len(ext)]
             deep = [v for js, (v, _) in verdicts.items() if min(js) >= j_max - 1]
             stable = len(set(deep)) == 1

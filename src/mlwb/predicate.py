@@ -2,13 +2,16 @@
 neighbourhood frames, and the two predicate p-morphism notions.
 
 Evaluation is defined for closed formulas; constants name domain elements
-directly.  Universal quantifiers range over the local domain on the Kripke
-side and over the single constant domain on the neighbourhood side — the
-asymmetry behind the Barcan formula's different status in the two semantics.
+directly.  One evaluator serves both semantics: a Kripke model is the
+principal-filter case of a neighbourhood model, and universal quantifiers
+range over the local domain on the Kripke side and over the single constant
+domain on the neighbourhood side — the asymmetry behind the Barcan
+formula's different status in the two semantics.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -17,8 +20,8 @@ from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
 from .neighbourhood import NFrame, NMorphism, check_n_pmorphism, nf_from_kripke
 from .syntax import (
     Atom, Box, Const, Falsum, Forall, Implies, Formula, Var,
-    constants, free_vars, parse_pred, substitute_constants,
-    to_text, universal_closure,
+    constants, content_lines, free_vars, parse_pred, parse_set,
+    substitute_constants, to_text, universal_closure,
 )
 
 PredFormula = Formula
@@ -56,6 +59,12 @@ class PredKripkeModel:
     valuation: dict  # predicate name -> world -> frozenset of tuples
 
     def __post_init__(self):
+        # what the shared evaluator reads at each world: the principal
+        # filter base (the successors) and the local quantifier domain
+        frame = self.pframe.frame
+        object.__setattr__(self, "base",
+                           {w: (frame.successors(w),) for w in frame.worlds})
+        object.__setattr__(self, "quantifier_domain", self.pframe.domains)
         for name, per_world in self.valuation.items():
             arities = {len(t) for rows in per_world.values() for t in rows}
             if len(arities) > 1:
@@ -91,6 +100,11 @@ class PredNModel:
     valuation: dict  # predicate name -> point -> frozenset of tuples
 
     def __post_init__(self):
+        # the shared evaluator's view: the filter bases, and D* everywhere
+        space = self.pframe.space
+        object.__setattr__(self, "base", space.base)
+        object.__setattr__(self, "quantifier_domain",
+                           dict.fromkeys(space.points, self.pframe.dstar))
         for name, per_point in self.valuation.items():
             for x, rows in per_point.items():
                 for t in rows:
@@ -98,10 +112,7 @@ class PredNModel:
                         raise ValueError(
                             f"valuation of {name!r} at {x!r} leaves D*: {t!r}")
 
-    def holds(self, name: str, x, args: tuple) -> bool:
-        if name not in self.valuation:
-            raise EvaluationError(f"predicate {name!r} has no valuation entry")
-        return args in self.valuation[name].get(x, frozenset())
+    holds = PredKripkeModel.holds
 
 
 # ---------------------------------------------------------------------------
@@ -120,43 +131,23 @@ def eval_pred_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
     if missing:
         raise EvaluationError(
             f"constants {sorted(missing)} are not in the domain at {u!r}")
-    return _ev_kripke(model, u, a)
-
-
-def _ev_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
-    if isinstance(a, Falsum):
-        return False
-    if isinstance(a, Atom):
-        args = []
-        for arg in a.args:
-            if not isinstance(arg, Const):
-                raise EvaluationError(f"open atom {to_text(a)!r}")
-            args.append(arg.value)
-        return model.holds(a.name, u, tuple(args))
-    if isinstance(a, Implies):
-        return (not _ev_kripke(model, u, a.left)) or _ev_kripke(model, u, a.right)
-    if isinstance(a, Box):
-        if a.index != 1:
-            raise EvaluationError("predicate evaluation is unimodal")
-        return all(_ev_kripke(model, v, a.body)
-                   for v in model.pframe.frame.successors(u))
-    if isinstance(a, Forall):
-        return all(_ev_kripke(model, u,
-                              substitute_constants(a.body, {a.var: d}))
-                   for d in sorted(model.pframe.domain(u)))
-    raise EvaluationError(f"unsupported formula node {a!r}")
+    return _ev(model, u, a)
 
 
 def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
+    if x not in model.pframe.space.points:
+        raise EvaluationError(f"unknown point {x!r}")
     _check_closed(a)
     missing = set(constants(a)) - model.pframe.dstar
     if missing:
         raise EvaluationError(f"constants {sorted(missing)} are not in D*")
-    return _ev_nbhd(model, x, a)
+    return _ev(model, x, a)
 
 
-def _ev_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
-    space = model.pframe.space
+def _ev(model, x, a: PredFormula) -> bool:
+    """Truth at ``x`` in a Kripke or neighbourhood model: ``box`` needs a
+    member of the base at ``x`` throughout which the body holds, ``forall``
+    ranges over the quantifier domain at ``x``."""
     if isinstance(a, Falsum):
         return False
     if isinstance(a, Atom):
@@ -167,16 +158,15 @@ def _ev_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
             args.append(arg.value)
         return model.holds(a.name, x, tuple(args))
     if isinstance(a, Implies):
-        return (not _ev_nbhd(model, x, a.left)) or _ev_nbhd(model, x, a.right)
+        return (not _ev(model, x, a.left)) or _ev(model, x, a.right)
     if isinstance(a, Box):
         if a.index != 1:
             raise EvaluationError("predicate evaluation is unimodal")
-        return any(all(_ev_nbhd(model, y, a.body) for y in u)
-                   for u in space.base[x])
+        return any(all(_ev(model, y, a.body) for y in u)
+                   for u in model.base[x])
     if isinstance(a, Forall):
-        return all(_ev_nbhd(model, x,
-                            substitute_constants(a.body, {a.var: d}))
-                   for d in sorted(model.pframe.dstar))
+        return all(_ev(model, x, substitute_constants(a.body, {a.var: d}))
+                   for d in sorted(model.quantifier_domain[x]))
     raise EvaluationError(f"unsupported formula node {a!r}")
 
 
@@ -270,46 +260,37 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
 
 def pullback_kk(model: PredKripkeModel, m: PredKKMorphism) -> PredKripkeModel:
     """Pull a target valuation back along a KK morphism."""
-    if model.pframe is not m.target and model.pframe != m.target:
-        raise ValueError("valuation must live on the morphism's target")
-    val = {}
-    for name, per_world in model.valuation.items():
-        arity = max((len(t) for rows in per_world.values() for t in rows),
-                    default=0)
-        out = {}
-        for w in m.source.frame.worlds:
-            rows = set()
-            for t in _tuples(m.source.domain(w), arity):
-                image = tuple(m.phi1[w][d] for d in t)
-                if model.holds(name, m.phi0.map[w], image):
-                    rows.add(t)
-            out[w] = frozenset(rows)
-        val[name] = out
-    return PredKripkeModel(m.source, val)
+    return PredKripkeModel(m.source, _pull_back(
+        model, m.target, m.source.frame.worlds, m.source.domain, m.phi0.map,
+        m.phi1))
 
 
 def pullback_nk(model: PredKripkeModel, m: PredNKMorphism) -> PredNModel:
-    if model.pframe is not m.target and model.pframe != m.target:
+    return PredNModel(PredNFrame(m.space, m.dstar), _pull_back(
+        model, m.target, m.space.points, lambda x: m.dstar, m.phi0, m.phi1))
+
+
+def _pull_back(model: PredKripkeModel, target, points, domain_at, phi0,
+               phi1) -> dict:
+    """At each point, the tuples over its domain whose phi1-images hold at
+    its phi0-image."""
+    if model.pframe is not target and model.pframe != target:
         raise ValueError("valuation must live on the morphism's target")
     val = {}
-    for name, per_world in model.valuation.items():
-        arity = max((len(t) for rows in per_world.values() for t in rows),
-                    default=0)
-        out = {}
-        for x in m.space.points:
-            rows = set()
-            for t in _tuples(m.dstar, arity):
-                image = tuple(m.phi1[x][d] for d in t)
-                if model.holds(name, m.phi0[x], image):
-                    rows.add(t)
-            out[x] = frozenset(rows)
-        val[name] = out
-    return PredNModel(PredNFrame(m.space, m.dstar), val)
+    for name, arity in _arities(model).items():
+        val[name] = {
+            x: frozenset(t for t in itertools.product(sorted(domain_at(x)),
+                                                      repeat=arity)
+                         if model.holds(name, phi0[x],
+                                        tuple(phi1[x][d] for d in t)))
+            for x in points}
+    return val
 
 
-def _tuples(domain, arity):
-    import itertools
-    return itertools.product(sorted(domain), repeat=arity)
+def _arities(model: PredKripkeModel) -> dict:
+    return {name: max((len(t) for rows in per.values() for t in rows),
+                      default=0)
+            for name, per in model.valuation.items()}
 
 
 def compose_morphisms(nk: PredNKMorphism, kk: PredKKMorphism) -> PredNKMorphism:
@@ -368,8 +349,7 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
     if not verdict:
         raise ValueError(f"morphism fails: {verdict.condition} {verdict.witness}")
     theta = pullback_nk(model, m)
-    preds = {name: max((len(t) for rows in per.values() for t in rows), default=0)
-             for name, per in model.valuation.items()}
+    preds = _arities(model)
     rng = random.Random(seed)
     pool = list(extra_pool)
     while len(pool) < samples:
@@ -397,27 +377,21 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
 def parse_domains(text: str, frame: KripkeFrame) -> PredKripkeFrame:
     """Lines ``domain w = {d1,d2}``."""
     domains = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not line.startswith("domain "):
             raise ValueError(f"line {lineno}: expected 'domain w = {{...}}'")
         head, _, rhs = line[len("domain "):].partition("=")
         w = head.strip()
         if w in domains:
             raise ValueError(f"line {lineno}: duplicate domain for {w!r}")
-        domains[w] = frozenset(_parse_set(rhs.strip(), lineno))
+        domains[w] = frozenset(parse_set(rhs, lineno))
     return PredKripkeFrame(frame, domains)
 
 
 def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:
     """Lines ``val P @ w = {(d1),(d1,d2)}`` (0-ary: ``{()}`` or ``{}``)."""
     val = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not line.startswith("val "):
             raise ValueError(f"line {lineno}: expected 'val P @ w = {{...}}'")
         head, _, rhs = line[len("val "):].partition("=")
@@ -432,24 +406,12 @@ def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:
 
 def parse_constdomain(text: str) -> frozenset:
     """A single line ``constdomain = {d1,d2}``."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not line.startswith("constdomain"):
             raise ValueError(f"line {lineno}: expected 'constdomain = {{...}}'")
         _, _, rhs = line.partition("=")
-        return frozenset(_parse_set(rhs.strip(), lineno))
+        return frozenset(parse_set(rhs, lineno))
     raise ValueError("missing 'constdomain = {...}' line")
-
-
-def _parse_set(text: str, lineno: int):
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"line {lineno}: expected a {{...}} set")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    return [part.strip() for part in inner.split(",")]
 
 
 def _parse_tuples(text: str, lineno: int):

@@ -567,3 +567,55 @@ def horn_to_text(s: HornSentence) -> str:
         return f"({s})" if outer_and else s
 
     return f"{fmt(s.body)} => {s.head.left} R {s.head.right}"
+
+
+# ---------------------------------------------------------------------------
+# Text formats shared by the file readers
+
+
+def content_lines(text: str) -> Iterator[tuple]:
+    """``(line number, line)`` for every line left nonblank once its ``#``
+    comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_set(text: str, lineno: int) -> list:
+    """Members of a ``{a, b}`` set; ``{}`` is the empty set, an empty
+    member is an error."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"line {lineno}: expected a {{...}} set, found {text!r}")
+    inner = text[1:-1].strip()
+    if not inner:
+        return []
+    members = [part.strip() for part in inner.split(",")]
+    if "" in members:
+        raise ValueError(f"line {lineno}: empty member in {text!r}")
+    return members
+
+
+def split_sections(text: str, *required: str) -> dict:
+    """Bodies of the ``[name]`` sections of a file, by name.  Rejects a
+    duplicate section, content before the first one and a missing
+    ``required`` one."""
+    sections = {}
+    current = None
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            current = stripped[1:-1].strip()
+            if current in sections:
+                raise ValueError(f"duplicate section [{current}]")
+            sections[current] = []
+            continue
+        if current is not None:
+            sections[current].append(raw)
+        elif stripped and not stripped.startswith("#"):
+            raise ValueError(f"content before first section: {stripped!r}")
+    for name in required:
+        if name not in sections:
+            raise ValueError(f"missing [{name}] section")
+    return {k: "\n".join(v) for k, v in sections.items()}

@@ -164,7 +164,7 @@ class TestMorphismChecks:
     def test_f0_pmorphism_sampled(self):
         df = DenseFrame(two_chain(), depth=4)
         rep = f0_pmorphism_check(df, n_samples=40, seed=5)
-        assert rep.ok, rep.detail
+        assert rep["ok"], rep
 
     def test_chain_collapse(self):
         df = DenseFrame(next_frame(7), gamma=axioms_to_theory([2]),

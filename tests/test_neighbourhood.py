@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from mlwb.kripke import KripkeFrame, KripkeModel, KripkeMorphism, \
-    check_pmorphism, eval_kripke, unravel
+    check_pmorphism, eval_kripke, pullback_valuation, unravel
 from mlwb.neighbourhood import (
     NFrame, NModel, check_n_pmorphism, eval_nbhd, n_morphism_from_kripke,
     n_truth_preservation_test, nf_from_kripke, parse_nframe,
-    pullback_valuation,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, neg, parse_prop
 

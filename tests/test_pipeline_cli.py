@@ -37,6 +37,45 @@ class TestScenarioParsing:
             parse_scenario(text)
 
 
+CHAIN = """[frame]
+worlds a b c d
+root a
+edges a->b b->c c->d
+[domains]
+domain a = {e}
+domain b = {e}
+domain c = {e}
+domain d = {e}
+[valuation]
+val P @ d = {(e)}
+[formula]
+box box box P(x)
+[bounds]
+depth = 3
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)",
+                    "forall x. Q(x)"), "'Q' has no valuation entry"),
+    (BARCAN + "[horn]\nx R y & x R z => y R z\n", "chain sentences"),
+    (CHAIN, "depth = 3 is below its minimum 4"),
+    (CHAIN.replace("root a\n", ""), "must be rooted"),
+    (BARCAN.replace("depth = 5", "depth = 0"), "depth = 0"),
+    (BARCAN.replace("j_max = 3", "j_max = -1"), "j_max = -1"),
+    (BARCAN.replace("max_sigma = 2", "max_sigma = 0"), "max_sigma = 0"),
+    (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {}"), "empty dalphabet"),
+    (BARCAN.replace("domain v = {d, e}", "domain v = {d,,e}"), "empty member"),
+], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
+        "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
+        "empty-dalphabet", "empty-domain-member"])
+def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.scn"
+    f.write_text(text)
+    assert main(["pipeline", str(f)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _strip_times(text: str) -> str:
     return re.sub(r"# time .*", "", text)
 
@@ -110,6 +149,19 @@ class TestCli:
         assert main(["dense", "counterexample", "--kmax", "4"]) == 0
         out = capsys.readouterr().out
         assert "box" in out or "witness" in out.lower()
+
+    def test_duplicate_sections_exit_2(self, tmp_path, capsys):
+        m = tmp_path / "model.txt"
+        m.write_text("[frame]\nworlds u v\nroot u\nedges u->v\n"
+                     "[valuation]\nval p = {v}\n[valuation]\nval p = {}\n")
+        assert main(["eval", "--model", str(m), "--at", "u",
+                     "--formula", "box p"]) == 2
+        f = tmp_path / "morphism.txt"
+        f.write_text("[source]\nworlds a b\nroot a\nedges a->b\n"
+                     "[target]\nworlds x\nroot x\nedges x->x\n"
+                     "[map]\na -> x\nb -> x\n[map]\na -> x\n")
+        assert main(["pmorph", "--kind", "kripke", str(f)]) == 2
+        assert "duplicate section [map]" in capsys.readouterr().err
 
     def test_bad_input_exits_2(self, tmp_path, capsys):
         f = tmp_path / "frame.txt"
