@@ -176,7 +176,7 @@ def criterion_6_truth_preservation() -> dict:
     target = PredKripkeFrame(chain, {"u": frozenset({"d"}),
                                      "v": frozenset({"d", "e"})})
     space = EntangleSpace(chain, sigma2=("1", "2"))
-    kk = build_psi(space, target, max_sigma=2)
+    kk = build_psi(space, target, DenseFrame(chain, depth=3), max_sigma=2)
     rng = random.Random(6)
     val = {"P": {w: frozenset((d,) for d in target.domain(w)
                               if rng.random() < 0.6)

@@ -57,9 +57,8 @@ def restrict(word, k: int) -> tuple:
 
 def validate_stopword(word, frame: KripkeFrame) -> Verdict:
     """A word is a path with stops iff its zero-dropped form is a chain of
-    R-successors starting from a successor of the root."""
-    if not frame.is_rooted():
-        return Verdict(False, "frame-not-rooted")
+    R-successors starting from a successor of the root.  The frame is taken
+    to be rooted: ``unravel`` and ``EntangleSpace`` check that once."""
     word = tuple(word)
     for a in word:
         if a != STOP and a not in frame.worlds:
@@ -138,8 +137,6 @@ class DenseFrame:
     _interior: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.frame.is_rooted():
-            raise ValueError("base frame must be rooted")
         unr = unravel(self.frame, self.depth)
         closed = unr.frame
         if self.gamma is not None and self.gamma.sentences:

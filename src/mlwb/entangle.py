@@ -333,20 +333,16 @@ def xi_locality_check(space: EntangleSpace, df: DenseFrame, alpha, gamma) -> dic
 
 
 def build_psi(space: EntangleSpace, target: PredKripkeFrame,
-              max_sigma: int = 2,
-              dense: Optional[DenseFrame] = None) -> PredKKMorphism:
+              dense: DenseFrame, max_sigma: int = 2) -> PredKKMorphism:
     """Surjections from the D-sharp domains of the (optionally closed)
-    truncated unravelling onto the target's expanding domains, built along
-    the tree order; overflow classes land on a designated element of the
-    parent's image.  Closure edges inherit agreement automatically because
-    they point from ancestors to descendants."""
+    truncated unravelling ``dense`` onto the target's expanding domains,
+    built along the tree order; overflow classes land on a designated
+    element of the parent's image.  Closure edges inherit agreement
+    automatically because they point from ancestors to descendants."""
     frame = target.frame
     if frame != space.frame:
         raise ValueError("target must sit over the entangle base frame")
-    if dense is None:
-        height = max(len(_tree_path(frame, w)) for w in frame.worlds)
-        dense = DenseFrame(frame, depth=height + 1)
-    elif dense.frame != frame:
+    if dense.frame != frame:
         raise ValueError("dense frame must sit over the target's base frame")
     closed = dense.closed_unravelling()
     domains = {p: dsharp(space, p, max_sigma) for p in closed.worlds}
@@ -384,23 +380,3 @@ def build_psi(space: EntangleSpace, target: PredKripkeFrame,
                              f" {verdict.condition} {verdict.witness}")
     return morphism
 
-
-def _tree_path(frame: KripkeFrame, w) -> tuple:
-    """The unique rooted path to w; error if the frame is not a tree."""
-    paths = [(frame.root,)]
-    found = []
-    seen = 0
-    while paths and seen <= len(frame.worlds) + 2:
-        nxt = []
-        for p in paths:
-            if p[-1] == w:
-                found.append(p)
-            for v in frame.successors(p[-1]):
-                if v in p:
-                    raise ValueError("frame is not a tree (cycle)")
-                nxt.append(p + (v,))
-        paths = nxt
-        seen += 1
-    if len(found) != 1:
-        raise ValueError(f"frame is not a tree at {w!r}")
-    return found[0]

@@ -378,7 +378,10 @@ def parse_valuation(text: str) -> dict:
         if not line.startswith("val ") or "=" not in line:
             raise ValueError(f"line {lineno}: expected 'val p = {{...}}'")
         name, rhs = line[4:].split("=", 1)
-        val[name.strip()] = frozenset(parse_set(rhs, lineno))
+        name = name.strip()
+        if name in val:
+            raise ValueError(f"line {lineno}: duplicate val line for {name!r}")
+        val[name] = frozenset(parse_set(rhs, lineno))
     return val
 
 

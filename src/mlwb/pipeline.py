@@ -29,17 +29,21 @@ from .dense import DenseFrame, STOP, canonical, enumerate_canonical, f0, \
 from .entangle import EntangleSpace, build_psi, xi, xi_locality_check, \
     xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
-from .kripke import BudgetExceeded, EvaluationError, check_axiom_inclusion, \
-    grow_words, parse_frame
+from .kripke import BudgetExceeded, EvaluationError, grow_words, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
 from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
-    modal_depth, parse_pred, parse_set, split_sections, subformulas, to_text, \
-    universal_closure
+    horn_to_text, modal_depth, parse_pred, parse_set, split_sections, \
+    subformulas, to_text, universal_closure
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A pipeline input, checked once here, however it is built: every
+    formula predicate has a valuation, Gamma consists of chain sentences
+    the frame validates, the bounds are in range and the domain alphabet
+    is disjoint from the worlds and the stop symbol."""
+
     name: str
     pframe: PredKripkeFrame
     model: PredKripkeModel
@@ -51,6 +55,23 @@ class Scenario:
     max_sigma: int = 2
     sigma2: tuple = ("1", "2")
     seed: int = 0
+    space: EntangleSpace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for sub in subformulas(self.formula):
+            if isinstance(sub, Atom) and sub.name not in self.model.valuation:
+                raise ValueError(f"predicate {sub.name!r} has no valuation"
+                                 " entry")
+        frame = self.pframe.frame
+        if self.gamma is not None:
+            if chain_axiom_powers(self.gamma) is None:
+                raise ValueError("Gamma must consist of chain sentences")
+            for sentence in self.gamma:
+                if not eval_horn(frame, sentence):
+                    raise ValueError(f"the frame violates the [horn] sentence"
+                                     f" {horn_to_text(sentence)!r}")
+        _check_bounds(self)
+        object.__setattr__(self, "space", EntangleSpace(frame, self.sigma2))
 
 
 @dataclass
@@ -85,36 +106,29 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if len(formula_lines) != 1:
         raise ValueError("[formula] must contain exactly one formula")
     formula = universal_closure(parse_pred(formula_lines[0][1]))
-    for sub in subformulas(formula):
-        if isinstance(sub, Atom) and sub.name not in model.valuation:
-            raise ValueError(f"predicate {sub.name!r} has no valuation entry")
     gamma = None
     if sections.get("horn", "").strip():
         gamma = parse_horn_theory(sections["horn"])
-        if chain_axiom_powers(gamma) is None:
-            raise ValueError("Gamma must consist of chain sentences")
-    bounds = {"depth": 5, "k_max": 8, "j_max": 4, "max_sigma": 2, "seed": 0}
-    sigma2 = ("1", "2")
+    bounds = {}
     for lineno, line in content_lines(sections.get("bounds", "")):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "dalphabet":
-            sigma2 = tuple(parse_set(value, lineno))
-            if not sigma2:
+            bounds["sigma2"] = tuple(parse_set(value, lineno))
+            if not bounds["sigma2"]:
                 raise ValueError(f"bounds line {lineno}: empty dalphabet")
-        elif key in bounds:
+        elif key in ("depth", "k_max", "j_max", "max_sigma", "seed"):
             bounds[key] = int(value)
         else:
             raise ValueError(f"bounds line {lineno}: unknown key {key!r}")
-    _check_bounds(frame, bounds)
-    return Scenario(name, pframe, model, formula, gamma,
-                    sigma2=sigma2, **bounds)
+    return Scenario(name, pframe, model, formula, gamma, **bounds)
 
 
-def _check_bounds(frame, bounds: dict) -> None:
+def _check_bounds(s: Scenario) -> None:
     """Rejects bounds under which a stage must fail.  The unravelling of
     depth d holds the paths of at most d worlds, so it reaches every world
     from one more than the root's eccentricity."""
+    frame = s.pframe.frame
     reached, frontier, eccentricity = set(), {frame.root}, -1
     while frontier:
         reached |= frontier
@@ -125,8 +139,8 @@ def _check_bounds(frame, bounds: dict) -> None:
                          " from the root")
     least = {"depth": eccentricity + 1, "j_max": 0, "max_sigma": 1}
     for key, value in least.items():
-        if bounds[key] < value:
-            raise ValueError(f"{key} = {bounds[key]} is below its minimum"
+        if getattr(s, key) < value:
+            raise ValueError(f"{key} = {getattr(s, key)} is below its minimum"
                              f" {value} for this scenario")
 
 
@@ -165,23 +179,9 @@ def run_pipeline(s: Scenario) -> PipelineReport:
     ctx = {}
 
     def validate():
-        detail = {}
-        if s.gamma is not None:
-            valid = all(eval_horn(frame, sent) for sent in s.gamma)
-            detail["gamma_valid"] = valid
-            powers = chain_axiom_powers(s.gamma)
-            if powers is None:
-                raise ValueError("Gamma must consist of chain sentences")
-            for k in powers:
-                if k >= 2 and not check_axiom_inclusion(frame, k):
-                    raise ValueError(f"frame does not validate R^{k} <= R")
-            if not valid:
-                raise ValueError("the scenario frame violates Gamma")
         root_value = eval_pred_kripke(s.model, frame.root, s.formula)
-        detail["formula"] = to_text(s.formula)
-        detail["kripke_root_value"] = root_value
         report.kripke_value = root_value
-        return detail
+        return {"formula": to_text(s.formula), "kripke_root_value": root_value}
 
     def build_dense():
         df = DenseFrame(frame, gamma=s.gamma, depth=s.depth,
@@ -195,16 +195,14 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "interior": len(df.interior_paths())}
 
     def psi_stage():
-        space = EntangleSpace(frame, s.sigma2)
-        ctx["space"] = space
-        psi = build_psi(space, s.pframe, max_sigma=s.max_sigma, dense=ctx["df"])
+        psi = build_psi(s.space, s.pframe, ctx["df"], max_sigma=s.max_sigma)
         ctx["psi"] = psi
         return {"source_paths": len(psi.source.frame.worlds),
                 "classes_at_root": len(psi.source.domain((frame.root,)))}
 
     def f0_xi_stage():
         from .dense import f0_pmorphism_check
-        df, space = ctx["df"], ctx["space"]
+        df, space = ctx["df"], s.space
         rep = f0_pmorphism_check(df, n_samples=20, seed=s.seed)
         if not rep.pop("ok"):
             return {"ok": False, **rep}
@@ -227,7 +225,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "xi_locality_members": loc_checked}
 
     def composition_stage():
-        df, space, psi = ctx["df"], ctx["space"], ctx["psi"]
+        df, space, psi = ctx["df"], s.space, ctx["psi"]
         dstar = enumerate_dstar(s.sigma2, s.max_sigma, s.depth)
         ctx["dstar"] = dstar
         eta = make_eta(space, psi, s.pframe)
@@ -254,7 +252,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "dstar_size": len(dstar)}
 
     def evaluation_stage():
-        ev = DenseEvaluator(ctx["df"], ctx["space"], ctx["eta"], s.model,
+        ev = DenseEvaluator(ctx["df"], s.space, ctx["eta"], s.model,
                             s.sigma2, s.max_sigma, gamma=s.gamma)
         value, certified = ev.eval((), s.formula, {})
         report.dense_value = value

@@ -197,19 +197,10 @@ def check_kk_morphism(m: PredKKMorphism) -> Verdict:
     base = check_pmorphism(m.phi0)
     if not base:
         return base
-    for w in m.source.frame.worlds:
-        fw = m.phi1.get(w)
-        if fw is None:
-            return Verdict(False, "missing-domain-map", (w,))
-        dom, cod = m.source.domain(w), m.target.domain(m.phi0.map[w])
-        if set(fw) != set(dom):
-            return Verdict(False, "domain-map-not-total", (w,))
-        image = set(fw.values())
-        if not image <= cod:
-            return Verdict(False, "domain-map-not-into", (w, sorted(image - cod)[0]))
-        if image != set(cod):
-            return Verdict(False, "domain-map-not-surjective",
-                           (w, sorted(set(cod) - image)[0]))
+    maps = _check_domain_maps(m.phi1, m.source.frame.worlds, m.source.domain,
+                              lambda w: m.target.domain(m.phi0.map[w]))
+    if not maps:
+        return maps
     for u, v in m.source.frame.relation:
         for d in m.source.domain(u):
             if m.phi1[v][d] != m.phi1[u][d]:
@@ -237,24 +228,34 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
     base = check_n_pmorphism(NMorphism(m.space, target_nf, dict(m.phi0)))
     if not base:
         return base
-    for x in m.space.points:
-        fx = m.phi1.get(x)
-        if fx is None:
-            return Verdict(False, "missing-domain-map", (x,))
-        if set(fx) != set(m.dstar):
-            return Verdict(False, "domain-map-not-total", (x,))
-        cod = m.target.domain(m.phi0[x])
-        image = set(fx.values())
-        if not image <= set(cod):
-            return Verdict(False, "domain-map-not-into", (x,))
-        if image != set(cod):
-            return Verdict(False, "domain-map-not-surjective",
-                           (x, sorted(set(cod) - image)[0]))
+    maps = _check_domain_maps(m.phi1, m.space.points, lambda x: m.dstar,
+                              lambda x: m.target.domain(m.phi0[x]))
+    if not maps:
+        return maps
     for x in m.space.points:
         for d in m.dstar:
             if not any(all(m.phi1[y][d] == m.phi1[x][d] for y in u)
                        for u in m.space.base[x]):
                 return Verdict(False, "domain-map-not-locally-stable", (x, d))
+    return Verdict(True)
+
+
+def _check_domain_maps(phi1: dict, points, domain_at, codomain_at) -> Verdict:
+    """At each point, phi1 maps the point's domain onto the codomain at the
+    point's image."""
+    for x in points:
+        fx = phi1.get(x)
+        if fx is None:
+            return Verdict(False, "missing-domain-map", (x,))
+        if set(fx) != set(domain_at(x)):
+            return Verdict(False, "domain-map-not-total", (x,))
+        cod, image = set(codomain_at(x)), set(fx.values())
+        if not image <= cod:
+            return Verdict(False, "domain-map-not-into",
+                           (x, sorted(image - cod)[0]))
+        if image != cod:
+            return Verdict(False, "domain-map-not-surjective",
+                           (x, sorted(cod - image)[0]))
     return Verdict(True)
 
 
@@ -399,6 +400,9 @@ def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:
         name, world = name.strip(), world.strip()
         if not name or not world:
             raise ValueError(f"line {lineno}: expected 'val P @ w = {{...}}'")
+        if world in val.get(name, {}):
+            raise ValueError(f"line {lineno}: duplicate val line for"
+                             f" {name!r} @ {world!r}")
         rows = _parse_tuples(rhs.strip(), lineno)
         val.setdefault(name, {})[world] = frozenset(rows)
     return PredKripkeModel(pframe, val)

@@ -178,7 +178,7 @@ class TestBuildPsi:
         target = PredKripkeFrame(sp.frame,
                                  {"r": {"d"}, "w1": {"d", "e"},
                                   "w2": {"d", "e", "f"}})
-        m = build_psi(sp, target, max_sigma=2)
+        m = build_psi(sp, target, DenseFrame(sp.frame, depth=4), max_sigma=2)
         assert check_kk_morphism(m)
         # root classes cover the root domain
         root_map = m.phi1[("r",)]
@@ -189,15 +189,12 @@ class TestBuildPsi:
         target = PredKripkeFrame(
             sp.frame, {"r": {"d", "e", "f"}, "w1": {"d", "e", "f"}})
         with pytest.raises(ValueError, match="alphabet too small"):
-            build_psi(sp, target, max_sigma=1)
+            build_psi(sp, target, DenseFrame(sp.frame, depth=3), max_sigma=1)
 
     def test_non_tree_needs_dense(self):
         frame = KripkeFrame.make(["r", "a"],
                                  [("r", "a"), ("a", "a")], root="r")
         sp = EntangleSpace(frame, ("x", "y"))
         target = PredKripkeFrame(frame, {"r": {"d"}, "a": {"d", "e"}})
-        with pytest.raises(ValueError):
-            build_psi(sp, target, max_sigma=2)
-        m = build_psi(sp, target, max_sigma=2,
-                      dense=DenseFrame(frame, depth=4))
+        m = build_psi(sp, target, DenseFrame(frame, depth=4), max_sigma=2)
         assert check_kk_morphism(m)

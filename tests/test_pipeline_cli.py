@@ -1,14 +1,17 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 from mlwb.cli import main
+from mlwb.horn import parse_horn_theory
 from mlwb.pipeline import parse_scenario, render_report, run_pipeline
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BARCAN = (SCENARIOS / "barcan-two-chain.scn").read_text()
+TRANSITIVE = (SCENARIOS / "transitive-three-chain.scn").read_text()
 
 
 class TestScenarioParsing:
@@ -66,14 +69,39 @@ depth = 3
     (BARCAN.replace("max_sigma = 2", "max_sigma = 0"), "max_sigma = 0"),
     (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {}"), "empty dalphabet"),
     (BARCAN.replace("domain v = {d, e}", "domain v = {d,,e}"), "empty member"),
+    (TRANSITIVE.replace(" w0->w2", ""),
+     "the frame violates the [horn] sentence 'x R y & y R z => x R z'"),
+    (BARCAN + "[horn]\ntrue => x R x\n",
+     "the frame violates the [horn] sentence 'true => x R x'"),
+    (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {u, 2}"),
+     "alphabets must be disjoint: ['u']"),
+    (BARCAN.replace("val P @ v = {(d)}",
+                    "val P @ v = {(d)}\nval P @ v = {(d), (e)}"),
+     "duplicate val line for 'P' @ 'v'"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
-        "empty-dalphabet", "empty-domain-member"])
+        "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
+        "frame-violates-reflexivity", "dalphabet-overlaps-worlds",
+        "repeated-val-line"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
     assert main(["pipeline", str(f)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"depth": 0}, "depth = 0"),
+    ({"j_max": -1}, "j_max = -1"),
+    ({"gamma": parse_horn_theory("x R y & x R z => y R z")}, "chain sentences"),
+    ({"gamma": parse_horn_theory("true => x R x")}, "violates"),
+    ({"sigma2": ("1", "0")}, "alphabets must be disjoint"),
+], ids=["depth-zero", "negative-j_max", "non-chain-gamma",
+        "frame-violates-gamma", "dalphabet-holds-stop"])
+def test_scenario_is_checked_on_construction(changes, message):
+    s = parse_scenario(BARCAN, "barcan")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(s, **changes)
 
 
 def _strip_times(text: str) -> str:
@@ -149,6 +177,14 @@ class TestCli:
         assert main(["dense", "counterexample", "--kmax", "4"]) == 0
         out = capsys.readouterr().out
         assert "box" in out or "witness" in out.lower()
+
+    def test_repeated_val_line_exits_2(self, tmp_path, capsys):
+        m = tmp_path / "model.txt"
+        m.write_text("[frame]\nworlds u v\nroot u\nedges u->v\n"
+                     "[valuation]\nval p = {v}\nval p = {}\n")
+        assert main(["eval", "--model", str(m), "--at", "u",
+                     "--formula", "box p"]) == 2
+        assert "duplicate val line for 'p'" in capsys.readouterr().err
 
     def test_duplicate_sections_exit_2(self, tmp_path, capsys):
         m = tmp_path / "model.txt"

@@ -138,6 +138,20 @@ class TestKKMorphisms:
                         == eval_pred_kripke(tmodel, m.phi0.map[w], a))
 
 
+def test_domain_map_not_into_names_the_element():
+    kk = TestKKMorphisms().make_collapse()
+    phi1 = {**kk.phi1, "a": {"d": "u", "e": "z"}}
+    v = check_kk_morphism(PredKKMorphism(kk.source, kk.target, kk.phi0, phi1))
+    assert not v and v.condition == "domain-map-not-into"
+    assert v.witness == ("a", "z")
+    nk = TestNKMorphisms().make_identity_nk()
+    phi1 = {**nk.phi1, "b": {"d": "d", "e": "z"}}
+    v = check_nk_morphism(PredNKMorphism(nk.space, nk.target, nk.dstar,
+                                         nk.phi0, phi1))
+    assert not v and v.condition == "domain-map-not-into"
+    assert v.witness == ("b", "z")
+
+
 class TestNKMorphisms:
     def make_identity_nk(self):
         frame = two_chain()
