@@ -1,8 +1,13 @@
 """Universal strict Horn sentences on finite frames and the Gamma-closure.
 
-The closure is the least superset of the relation satisfying every sentence,
-computed as a naive fixpoint over variable assignments.  Frames here are
-tiny, so clarity beats speed throughout.
+A Horn sentence is a Datalog rule with head ``R(x, y)``.  Each body is
+rewritten once in disjunctive normal form, and its conjuncts are evaluated
+as joins over a relation indexed by its first and by its second argument.
+``eval_horn`` runs that join over the whole relation; ``gamma_close``
+computes the least superset satisfying every sentence by semi-naive
+evaluation, joining only the pairs each round added against the indexed
+relation (Bancilhon 1986; Abiteboul, Hull & Vianu, *Foundations of
+Databases*, ch. 13).
 """
 
 from __future__ import annotations
@@ -27,47 +32,131 @@ class HornTheory:
         return HornTheory(tuple(sentences))
 
 
-def _body_holds(body: HBody, relation: frozenset, env: dict) -> bool:
+def _dnf(body: HBody) -> list:
+    """The conjuncts of ``body``, each a tuple of atoms; ``true`` is ``()``."""
     if isinstance(body, HTrue):
-        return True
+        return [()]
     if isinstance(body, HAtom):
-        return (env[body.left], env[body.right]) in relation
+        return [(body,)]
     if isinstance(body, HAnd):
-        return _body_holds(body.left, relation, env) and \
-            _body_holds(body.right, relation, env)
+        return [left + right for left in _dnf(body.left)
+                for right in _dnf(body.right)]
     if isinstance(body, HOr):
-        return _body_holds(body.left, relation, env) or \
-            _body_holds(body.right, relation, env)
+        return _dnf(body.left) + _dnf(body.right)
     raise TypeError(f"not a Horn body: {body!r}")
 
 
-def _violations(worlds, relation, s: HornSentence):
-    for values in itertools.product(sorted(worlds, key=repr), repeat=len(s.variables)):
-        env = dict(zip(s.variables, values))
-        if _body_holds(s.body, relation, env):
-            pair = (env[s.head.left], env[s.head.right])
-            if pair not in relation:
+class _Index:
+    """A binary relation indexed by its first and by its second argument."""
+
+    def __init__(self, pairs=()):
+        self.pairs: set = set()
+        self.by_left: dict = {}
+        self.by_right: dict = {}
+        self.add(pairs)
+
+    def add(self, pairs) -> None:
+        for u, v in pairs:
+            self.pairs.add((u, v))
+            self.by_left.setdefault(u, set()).add(v)
+            self.by_right.setdefault(v, set()).add(u)
+
+    def extend(self, atom: HAtom, env: dict):
+        """Every extension of ``env`` that binds ``atom`` to a pair."""
+        left, right = atom.left, atom.right
+        if left in env and right in env:
+            if (env[left], env[right]) in self.pairs:
+                yield env
+        elif left in env:
+            for v in self.by_left.get(env[left], ()):
+                yield {**env, right: v}
+        elif right in env:
+            for u in self.by_right.get(env[right], ()):
+                yield {**env, left: u}
+        elif left == right:
+            for u, v in self.pairs:
+                if u == v:
+                    yield {**env, left: u}
+        else:
+            for u, v in self.pairs:
+                yield {**env, left: u, right: v}
+
+
+def _plan(atoms: tuple, first: int) -> list:
+    """Join order: atom ``first``, then always an atom with the most
+    variables already bound (the earliest among equals)."""
+    if not atoms:
+        return []
+    order, rest = [first], [i for i in range(len(atoms)) if i != first]
+    bound = {atoms[first].left, atoms[first].right}
+    while rest:
+        i = max(rest, key=lambda i: (atoms[i].left in bound)
+                + (atoms[i].right in bound))
+        rest.remove(i)
+        order.append(i)
+        bound |= {atoms[i].left, atoms[i].right}
+    return order
+
+
+def _bindings(atoms: tuple, sources: list, order: list, env: dict):
+    if not order:
+        yield env
+        return
+    i = order[0]
+    for extended in sources[i].extend(atoms[i], env):
+        yield from _bindings(atoms, sources, order[1:], extended)
+
+
+def _heads(atoms: tuple, head: HAtom, sources: list, first: int, worlds):
+    """Head pairs of every binding of the conjunct ``atoms``, atom ``i``
+    ranging over ``sources[i]``; head variables the body leaves unbound
+    range over ``worlds``."""
+    bound = {v for atom in atoms for v in (atom.left, atom.right)}
+    free = [v for v in dict.fromkeys((head.left, head.right))
+            if v not in bound]
+    for env in _bindings(atoms, sources, _plan(atoms, first), {}):
+        for values in itertools.product(worlds, repeat=len(free)):
+            full = {**env, **dict(zip(free, values))}
+            yield full[head.left], full[head.right]
+
+
+def _violations(index: _Index, worlds, s: HornSentence):
+    for atoms in _dnf(s.body):
+        for pair in _heads(atoms, s.head, [index] * len(atoms), 0, worlds):
+            if pair not in index.pairs:
                 yield pair
 
 
 def eval_horn(frame: KripkeFrame, s: HornSentence) -> bool:
-    return next(_violations(frame.worlds, frame.relation, s), None) is None
+    index = _Index(frame.relation)
+    return next(_violations(index, frame.worlds, s), None) is None
 
 
 def gamma_close(frame: KripkeFrame, gamma: HornTheory) -> KripkeFrame:
-    """Least fixpoint F^Gamma: repeatedly add missing head pairs."""
-    relation = set(frame.relation)
-    max_rounds = len(frame.worlds) ** 2 + 1
-    for _ in range(max_rounds):
-        added = False
-        for s in gamma:
-            new = set(_violations(frame.worlds, frozenset(relation), s))
-            if new:
-                relation |= new
-                added = True
-        if not added:
-            return KripkeFrame(frame.worlds, frozenset(relation), frame.root)
-    raise RuntimeError("Horn closure failed to reach a fixpoint")  # pragma: no cover
+    """Least fixpoint F^Gamma, evaluated semi-naively.
+
+    Round 0 joins every conjunct against the whole relation.  Each later
+    round joins every conjunct once per atom position, with the pairs the
+    last round added at that position and the whole relation at the others:
+    a new derivation uses at least one new pair.  A round that adds nothing
+    ends the loop.
+    """
+    relation = _Index(frame.relation)
+    new = {pair for s in gamma
+           for pair in _violations(relation, frame.worlds, s)}
+    rules = [(atoms, s.head) for s in gamma for atoms in _dnf(s.body)]
+    while new:
+        relation.add(new)
+        delta = _Index(new)
+        new = set()
+        for atoms, head in rules:
+            for i in range(len(atoms)):
+                sources = [relation] * len(atoms)
+                sources[i] = delta
+                new.update(pair for pair in
+                           _heads(atoms, head, sources, i, frame.worlds)
+                           if pair not in relation.pairs)
+    return KripkeFrame(frame.worlds, frozenset(relation.pairs), frame.root)
 
 
 def closure_minimality_check(frame: KripkeFrame, gamma: HornTheory) -> dict:

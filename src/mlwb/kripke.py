@@ -268,11 +268,12 @@ def check_axiom_inclusion(frame: KripkeFrame, k: int) -> Verdict:
 
 def check_pretransitive(frame: KripkeFrame, k: int) -> Verdict:
     """Counterpart of ``p & box p & ... & box^k p -> box^{k+1} p``."""
-    rk1 = relation_power(frame, k + 1)
+    power = relation_power(frame, 0)
     union: set = set()
-    for i in range(k + 1):
-        union |= relation_power(frame, i)
-    for pair in rk1:
+    for _ in range(k + 1):
+        union |= power
+        power = relation_compose(power, frame.relation)
+    for pair in power:  # R^{k+1}
         if pair not in union:
             return Verdict(False, "pretransitivity", pair)
     return Verdict(True)
