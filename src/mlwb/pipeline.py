@@ -6,15 +6,17 @@ unravelling with its D-sharp domains, construct psi, verify the (f0, xi)
 morphism, compose, pull the valuation back, and re-evaluate the target
 formula at the all-stops point of the dense frame.
 
-Dense-side predicate evaluation works directly on pseudo-infinite paths.
-The domain maps are local: on a deep enough neighbourhood of a point the
-image of any fixed constant stabilises, so the box quantifier is decided on
-a stabilised neighbourhood with the zero paddings enumerated as a robustness
-window, and the universal quantifier runs over a profile-complete finite
-family of constant-domain stop words (zero runs capped by the relevant
-positions, plus overflow words for the classes beyond the truncated
-domains).  Verdicts carry a certified flag; it drops only when a box hits
-the truncation frontier or a padding window fails to stabilise.
+Dense-side predicate evaluation works directly on pseudo-infinite paths and
+is exact.  The domain maps are local: past the stopping length of every
+constant in the environment, the zero paddings of an extension family do
+not change the image of any constant, so the box quantifier evaluates each
+family once, unpadded (see ``DenseEvaluator``), and the universal quantifier
+runs over a profile-complete finite family of constant-domain stop words
+(zero runs capped past the deepest point the body can reach, plus overflow
+words for the classes beyond the truncated domains; see
+``enumerate_dstar``).  A verdict is uncertified for one reason only: a box
+reached a frontier path of the truncated unravelling, and the verdict names
+that path.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dense import DenseFrame, STOP, canonical, enumerate_canonical, f0, \
-    padded_words, restrict, st, uk_members
+from .dense import DenseFrame, STOP, EvalVerdict, canonical, \
+    enumerate_canonical, f0, restrict, st, uk_members
 from .entangle import EntangleSpace, build_psi, xi, xi_locality_check, \
     xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
@@ -150,8 +152,17 @@ def _check_bounds(s: Scenario) -> None:
 
 def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     """Canonical domain stop words with at most max_sigma letters and zero
-    runs capped at gap_max.  Longer runs produce the same domain maps at
-    every truncated path, so this family is profile-complete."""
+    runs capped at gap_max.
+
+    The family is profile-complete at every point alpha with st(alpha) <=
+    gap_max: it hits every class xi(alpha, gamma) that a word gamma with at
+    most max_sigma letters hits.  In ``entangle.h`` each zero of gamma
+    consumes the next unconsumed base letter of alpha once the walk has
+    reached that letter's position, and every position of alpha is at most
+    st(alpha).  So a zero run of length >= st(alpha) consumes every letter
+    of alpha still left, and a longer run consumes nothing more: shortening
+    it to gap_max leaves xi(alpha, gamma), hence eta(alpha, gamma), as it
+    was."""
     steps = [(STOP,) * gap + (s,) for gap in range(gap_max + 1) for s in sigma2]
     return grow_words(lambda word: steps, max_sigma)
 
@@ -226,15 +237,16 @@ def run_pipeline(s: Scenario) -> PipelineReport:
 
     def composition_stage():
         df, space, psi = ctx["df"], s.space, ctx["psi"]
-        dstar = enumerate_dstar(s.sigma2, s.max_sigma, s.depth)
-        ctx["dstar"] = dstar
         eta = make_eta(space, psi, s.pframe)
         ctx["eta"] = eta
         surj_fail = loc_fail = None
+        words_checked = 0
         loc_gammas = [(), (s.sigma2[0],), (STOP, s.sigma2[-1]),
                       (s.sigma2[0], STOP, STOP, s.sigma2[-1])]
         for alpha in _sample_points(df, rng, 6):
             want = set(s.pframe.domain(f0(alpha, frame)[-1]))
+            dstar = enumerate_dstar(s.sigma2, s.max_sigma, st(alpha))
+            words_checked += len(dstar)
             got = {eta(alpha, g) for g in dstar}
             if got != want:
                 surj_fail = (alpha, sorted(want - got))
@@ -249,18 +261,21 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         return {"ok": surj_fail is None and loc_fail is None,
                 "eta_surjectivity_failure": surj_fail,
                 "eta_locality_failure": loc_fail,
-                "dstar_size": len(dstar)}
+                "dstar_size": words_checked}
 
     def evaluation_stage():
         ev = DenseEvaluator(ctx["df"], s.space, ctx["eta"], s.model,
                             s.sigma2, s.max_sigma, gamma=s.gamma)
-        value, certified = ev.eval((), s.formula, {})
-        report.dense_value = value
-        report.dense_certified = certified
-        matches = certified and value == report.kripke_value
-        return {"ok": matches, "dense_value": value,
-                "certified": certified,
-                "point": "eps (the all-stops point over the root)"}
+        verdict = ev.eval((), s.formula, {})
+        report.dense_value = verdict.value
+        report.dense_certified = verdict.certified
+        matches = verdict.certified and verdict.value == report.kripke_value
+        detail = {"ok": matches, "dense_value": verdict.value,
+                  "certified": verdict.certified,
+                  "point": "eps (the all-stops point over the root)"}
+        if not verdict.certified:
+            detail["reason"], detail["frontier"] = verdict.witness
+        return detail
 
     ok = stage("scenario-validation", validate)
     ok = ok and stage("unravelling-and-closure", build_dense)
@@ -311,8 +326,31 @@ def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame):
 
 
 class DenseEvaluator:
-    """Predicate evaluation at points of the dense frame; env maps variables
-    to constant-domain stop words.  Returns (value, certified)."""
+    """Exact predicate evaluation at points of the dense frame; env maps
+    variables to constant-domain stop words.  ``eval`` returns an
+    ``EvalVerdict``; an uncertified one carries ``("frontier", path)``, the
+    f0 path whose extensions lie beyond the truncated unravelling.
+
+    Lemma (one padding per family).  Let m = max(st(alpha), st(gamma) for
+    gamma in env) and pre = restrict(alpha, m).  For an extension ext = c1
+    ... cr of f0(alpha), every padded member beta = pre . 0^j1 c1 ... 0^jr cr
+    of the family satisfies the same formulas under env, whatever the j:
+
+    - every such beta has the same f0 image, f0(alpha) + ext;
+    - the letters of beta beyond m >= st(gamma) are never consumed by the
+      walk of ``entangle.h`` over gamma; they are appended after gamma's
+      letters, and ``canonicalize`` strips them, so xi(beta, gamma) =
+      xi(alpha, gamma) for every j;
+    - so eta, and with it every atom value, is the same for every j, and by
+      induction so is every value under nested boxes, since each ``forall``
+      family is profile-complete at the points its body reaches (see
+      ``enumerate_dstar`` and ``_gap_cap``).
+
+    For k >= m, U_k(alpha) consists of padded members of these families
+    (with alpha itself on a reflexive step), and U_k only grows as k falls.
+    So the box holds at alpha iff its body holds at the unpadded member
+    canonical(pre + ext) of each family; ext = () is the reflexive step
+    back to alpha itself."""
 
     def __init__(self, df: DenseFrame, space: EntangleSpace, eta,
                  model: PredKripkeModel, sigma2, max_sigma: int,
@@ -326,9 +364,9 @@ class DenseEvaluator:
         powers = chain_axiom_powers(gamma) if gamma is not None else None
         self.ext_cap = max(powers) if powers else 1
 
-    def eval(self, alpha, a, env: dict):
+    def eval(self, alpha, a, env: dict) -> EvalVerdict:
         if isinstance(a, Falsum):
-            return False, True
+            return EvalVerdict(False, True)
         if isinstance(a, Atom):
             args = []
             for term in a.args:
@@ -337,13 +375,17 @@ class DenseEvaluator:
                         "scenario formulas must be constant-free")
                 args.append(self.eta(alpha, env[term.name]))
             world = f0(alpha, self.df.frame)[-1]
-            return self.model.holds(a.name, world, tuple(args)), True
+            return EvalVerdict(self.model.holds(a.name, world, tuple(args)),
+                               True)
         if isinstance(a, Implies):
-            lv, lc = self.eval(alpha, a.left, env)
-            rv, rc = self.eval(alpha, a.right, env)
-            if (lc and lv is False) or (rc and rv is True):
-                return True, True
-            return (not lv) or rv, lc and rc
+            left = self.eval(alpha, a.left, env)
+            right = self.eval(alpha, a.right, env)
+            if (left.certified and left.value is False) \
+                    or (right.certified and right.value is True):
+                return EvalVerdict(True, True)
+            return EvalVerdict((not left.value) or right.value,
+                               left.certified and right.certified,
+                               left.witness or right.witness)
         if isinstance(a, Forall):
             return self._eval_forall(alpha, a, env)
         if isinstance(a, Box):
@@ -351,59 +393,45 @@ class DenseEvaluator:
         raise EvaluationError(f"unsupported formula node {a!r}")
 
     def _gap_cap(self, alpha, body) -> int:
-        # zero runs beyond the deepest position a nested box can reach act
-        # identically, so capping them keeps the family profile-complete
-        cap = st(alpha)
-        for _ in range(modal_depth(body)):
-            cap += self.ext_cap * (self.df.j_max + 1)
-        return cap + 1
+        # capped zero runs suffice once the cap reaches st(alpha) (see
+        # enumerate_dstar): each box below appends its letters past m >=
+        # st(gamma), where h never reaches them, so the body sees gamma only
+        # through xi(alpha, gamma); the cap keeps a margin of one ext_cap
+        # step per nested box
+        return st(alpha) + modal_depth(body) * self.ext_cap + 1
 
-    def _eval_forall(self, alpha, a, env):
+    def _eval_forall(self, alpha, a, env) -> EvalVerdict:
         gap_cap = self._gap_cap(alpha, a.body)
         family = enumerate_dstar(self.sigma2, self.max_sigma, gap_cap)
         overflow = (self.sigma2[0],) * (self.max_sigma + 1)
         family = family + [(STOP,) * g + overflow for g in range(gap_cap + 1)]
-        value, certified = True, True
-        for gamma in family:
-            v, c = self.eval(alpha, a.body, {**env, a.var: gamma})
-            if v is False:
-                return False, c
-            value = value and v
-            certified = certified and c
-        return value, certified
+        return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
+                         for gamma in family)
 
-    def _eval_box(self, alpha, a, env):
-        # decide on a neighbourhood deep enough that every constant in env
-        # has a stable image at all members; the zero paddings then act as a
-        # robustness window over each tail family
-        m = max([st(alpha)] + [st(g) for g in env.values()])
+    def _eval_box(self, alpha, a, env) -> EvalVerdict:
+        path = f0(alpha, self.df.frame)
         try:
-            exts = self.df.extensions(f0(alpha, self.df.frame))
+            exts = self.df.extensions(path)
         except BudgetExceeded:
-            return True, False
+            return EvalVerdict(True, False, ("frontier", path))
+        m = max([st(alpha)] + [st(g) for g in env.values()])
         pre = restrict(alpha, m)
-        j_max = self.df.j_max
-        value, certified = True, True
-        for ext in sorted(exts):
-            if ext == ():
-                v, c = self.eval(canonical(alpha), a.body, env)
-                if v is False:
-                    return False, c
-                value = value and v
-                certified = certified and c
-                continue
-            verdicts = {js: self.eval(word, a.body, env)
-                        for js, word in padded_words(pre, ext, j_max)}
-            generic_v, generic_c = verdicts[(j_max,) * len(ext)]
-            deep = [v for js, (v, _) in verdicts.items() if min(js) >= j_max - 1]
-            stable = len(set(deep)) == 1
-            sub_cert = all(c for _, c in verdicts.values())
-            if generic_v is False:
-                robust = all(v is False for v, _ in verdicts.values())
-                return False, robust and sub_cert
-            value = value and generic_v
-            certified = certified and stable and sub_cert and generic_c
-        return value, certified
+        return self._all(self.eval(canonical(pre + ext), a.body, env)
+                         for ext in sorted(exts))
+
+    @staticmethod
+    def _all(verdicts) -> EvalVerdict:
+        """The conjunction of the verdicts, stopping at the first false one;
+        a true conjunction is uncertified with the first uncertified
+        conjunct's witness."""
+        uncertified = None
+        for verdict in verdicts:
+            if verdict.value is False:
+                return verdict
+            if not verdict.certified and uncertified is None:
+                uncertified = verdict
+        return uncertified if uncertified is not None \
+            else EvalVerdict(True, True)
 
 
 # ---------------------------------------------------------------------------

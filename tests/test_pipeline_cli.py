@@ -7,8 +7,10 @@ import pytest
 from mlwb.cli import main
 from mlwb.horn import parse_horn_theory
 from mlwb.pipeline import parse_scenario, render_report, run_pipeline
+from mlwb.syntax import parse_pred, universal_closure
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BARCAN = (SCENARIOS / "barcan-two-chain.scn").read_text()
 TRANSITIVE = (SCENARIOS / "transitive-three-chain.scn").read_text()
@@ -105,7 +107,7 @@ def test_scenario_is_checked_on_construction(changes, message):
 
 
 def _strip_times(text: str) -> str:
-    return re.sub(r"# time .*", "", text)
+    return re.sub(r"# time .*\n", "", text)
 
 
 class TestPipeline:
@@ -119,6 +121,38 @@ class TestPipeline:
         assert all(stage.ok for stage in report.stages)
         assert report.dense_certified
         assert report.dense_value == report.kripke_value
+
+    @pytest.mark.parametrize("name", ["barcan-two-chain",
+                                      "transitive-three-chain",
+                                      "degenerate-point"])
+    def test_report_matches_golden(self, name):
+        s = parse_scenario((SCENARIOS / f"{name}.scn").read_text(), name)
+        report = _strip_times(render_report(run_pipeline(s)))
+        assert report == (GOLDEN / f"{name}.report").read_text()
+
+    @pytest.mark.parametrize("formula", [
+        "forall x. forall y. (P(x) -> box P(x))",
+        "forall x. forall y. box (P(x) -> P(y))",
+    ])
+    def test_two_variable_formula_certified(self, formula):
+        s = dataclasses.replace(
+            parse_scenario(BARCAN, "barcan"), max_sigma=2,
+            formula=universal_closure(parse_pred(formula)))
+        report = run_pipeline(s)
+        assert report.dense_certified, render_report(report)
+        assert report.dense_value == report.kripke_value
+
+    def test_uncertified_report_names_the_frontier(self):
+        text = ("[frame]\nworlds u v\nroot u\nedges u->v v->v\n"
+                "[domains]\ndomain u = {d}\ndomain v = {d}\n"
+                "[valuation]\nval P @ u = {(d)}\nval P @ v = {(d)}\n"
+                "[formula]\nbox box box box forall x. P(x)\n"
+                "[bounds]\ndepth = 2\n")
+        report = run_pipeline(parse_scenario(text, "loop"))
+        assert not report.dense_certified
+        out = render_report(report)
+        assert "  reason: frontier\n" in out
+        assert "  frontier: (u, v)\n" in out
 
     def test_barcan_refuted(self):
         report = run_pipeline(parse_scenario(BARCAN, "barcan"))
