@@ -11,12 +11,11 @@ is exact.  The domain maps are local: past the stopping length of every
 constant in the environment, the zero paddings of an extension family do
 not change the image of any constant, so the box quantifier evaluates each
 family once, unpadded (see ``DenseEvaluator``), and the universal quantifier
-runs over a profile-complete finite family of constant-domain stop words
-(zero runs capped past the deepest point the body can reach, plus overflow
-words for the classes beyond the truncated domains; see
-``enumerate_dstar``).  A verdict is uncertified for one reason only: a box
-reached a frontier path of the truncated unravelling, and the verdict names
-that path.
+runs over a profile-complete finite family of constant-domain stop words,
+one representative per class at the binding point (plus overflow words for
+the classes beyond the truncated domains; see ``enumerate_dstar``).  A
+verdict is uncertified for one reason only: a box reached a frontier path
+of the truncated unravelling, and the verdict names that path.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .kripke import BudgetExceeded, EvaluationError, grow_words, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
 from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
-    horn_to_text, modal_depth, parse_pred, parse_set, split_sections, \
+    horn_to_text, parse_pred, parse_set, split_sections, \
     subformulas, to_text, universal_closure
 
 
@@ -52,7 +51,6 @@ class Scenario:
     formula: object
     gamma: Optional[HornTheory]
     depth: int = 5
-    k_max: int = 8
     j_max: int = 4
     max_sigma: int = 2
     sigma2: tuple = ("1", "2")
@@ -119,8 +117,10 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             bounds["sigma2"] = tuple(parse_set(value, lineno))
             if not bounds["sigma2"]:
                 raise ValueError(f"bounds line {lineno}: empty dalphabet")
-        elif key in ("depth", "k_max", "j_max", "max_sigma", "seed"):
+        elif key in ("depth", "j_max", "max_sigma", "seed"):
             bounds[key] = int(value)
+        elif key == "k_max":
+            int(value)  # accepted for older files; nothing reads it
         else:
             raise ValueError(f"bounds line {lineno}: unknown key {key!r}")
     return Scenario(name, pframe, model, formula, gamma, **bounds)
@@ -187,6 +187,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         return ok
 
     frame = s.pframe.frame
+    paths = PointPaths(frame)
     ctx = {}
 
     def validate():
@@ -195,8 +196,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         return {"formula": to_text(s.formula), "kripke_root_value": root_value}
 
     def build_dense():
-        df = DenseFrame(frame, gamma=s.gamma, depth=s.depth,
-                        k_max=s.k_max, j_max=s.j_max)
+        df = DenseFrame(frame, gamma=s.gamma, depth=s.depth, j_max=s.j_max)
         ctx["df"] = df
         closed = df.closed_unravelling()
         tree_edges = sum(1 for p, q in closed.relation
@@ -217,7 +217,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         rep = f0_pmorphism_check(df, n_samples=20, seed=s.seed)
         if not rep.pop("ok"):
             return {"ok": False, **rep}
-        alphas = _sample_points(df, rng, 6)
+        alphas = _sample_points(df, paths, rng, 6)
         surj_checked = loc_checked = 0
         for alpha in alphas:
             out = xi_surjectivity_check(space, alpha, s.max_sigma)
@@ -237,14 +237,14 @@ def run_pipeline(s: Scenario) -> PipelineReport:
 
     def composition_stage():
         df, space, psi = ctx["df"], s.space, ctx["psi"]
-        eta = make_eta(space, psi, s.pframe)
+        eta = make_eta(space, psi, s.pframe, paths)
         ctx["eta"] = eta
         surj_fail = loc_fail = None
         words_checked = 0
         loc_gammas = [(), (s.sigma2[0],), (STOP, s.sigma2[-1]),
                       (s.sigma2[0], STOP, STOP, s.sigma2[-1])]
-        for alpha in _sample_points(df, rng, 6):
-            want = set(s.pframe.domain(f0(alpha, frame)[-1]))
+        for alpha in _sample_points(df, paths, rng, 6):
+            want = set(s.pframe.domain(paths[alpha][-1]))
             dstar = enumerate_dstar(s.sigma2, s.max_sigma, st(alpha))
             words_checked += len(dstar)
             got = {eta(alpha, g) for g in dstar}
@@ -265,7 +265,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
 
     def evaluation_stage():
         ev = DenseEvaluator(ctx["df"], s.space, ctx["eta"], s.model,
-                            s.sigma2, s.max_sigma, gamma=s.gamma)
+                            s.sigma2, s.max_sigma, paths)
         verdict = ev.eval((), s.formula, {})
         report.dense_value = verdict.value
         report.dense_certified = verdict.certified
@@ -287,11 +287,15 @@ def run_pipeline(s: Scenario) -> PipelineReport:
     return report
 
 
-def _sample_points(df: DenseFrame, rng: random.Random, count: int) -> list:
+def _sample_points(df: DenseFrame, paths: PointPaths, rng: random.Random,
+                   count: int) -> list:
+    """Up to ``count`` interior points whose paths leave room below the
+    frontier, the all-stops point first; at depth 2 that is the all-stops
+    point alone, over the interior root path."""
     safe_len = max(1, df.depth - 3)
     candidates = [w for w in enumerate_canonical(df.frame, safe_len)
-                  if f0(w, df.frame) in df.interior_paths()
-                  and len(f0(w, df.frame)) <= df.depth - 2]
+                  if paths[w] in df.interior_paths()
+                  and len(paths[w]) <= max(1, df.depth - 2)]
     if len(candidates) <= count:
         return candidates
     picked = [()] if () in candidates else []
@@ -300,17 +304,34 @@ def _sample_points(df: DenseFrame, rng: random.Random, count: int) -> list:
     return picked
 
 
-def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame):
+class PointPaths(dict):
+    """Point -> f0 path, for one scenario: ``f0`` validates each point the
+    first time it is looked up, so no point is validated twice.  A caller
+    that makes a point from a path it already holds may enter that path
+    itself."""
+
+    def __init__(self, frame):
+        super().__init__()
+        self.frame = frame
+
+    def __missing__(self, alpha):
+        path = self[alpha] = f0(alpha, self.frame)
+        return path
+
+
+def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame,
+             paths: PointPaths):
     """The composite domain map: a point (a stop word over the base frame)
     and a constant-domain stop word go to an element of the target domain at
     the point's endpoint, via the class of their interleaving.  Classes with
     more domain letters than the truncated assignments carry land on the
     designated element of the parent domain of the path they were born at,
-    matching the overflow rule of the psi construction."""
+    matching the overflow rule of the psi construction.  ``paths`` is the
+    scenario's map from points to f0 paths."""
     frame = space.frame
 
     def eta(alpha, gamma):
-        path = f0(alpha, frame)
+        path = paths[alpha]
         mapping = psi.phi1.get(path)
         if mapping is None:
             raise BudgetExceeded(
@@ -344,25 +365,37 @@ class DenseEvaluator:
     - so eta, and with it every atom value, is the same for every j, and by
       induction so is every value under nested boxes, since each ``forall``
       family is profile-complete at the points its body reaches (see
-      ``enumerate_dstar`` and ``_gap_cap``).
+      ``enumerate_dstar`` and the corollary below).
 
     For k >= m, U_k(alpha) consists of padded members of these families
     (with alpha itself on a reflexive step), and U_k only grows as k falls.
     So the box holds at alpha iff its body holds at the unpadded member
     canonical(pre + ext) of each family; ext = () is the reflexive step
-    back to alpha itself."""
+    back to alpha itself.
+
+    Corollary (one body evaluation per class).  Bind gamma at alpha.  Every
+    point beta that the body reaches from alpha through boxes is
+    canonical(restrict(., m) + ext) with m >= st(gamma), so ``h`` never
+    consumes a letter of beta beyond alpha's letters, and xi(beta, gamma) =
+    xi(alpha, gamma).  The body's verdict (value, certified flag and
+    witness) therefore depends on gamma only through xi(alpha, gamma), and
+    the ``forall`` family only has to hit every class at alpha, which
+    ``enumerate_dstar`` does at gap_max = st(alpha).  The body is evaluated
+    once per class, at its first word in the family.
+
+    ``paths`` maps each point to its f0 path; shared with ``make_eta``, it
+    validates each point of the scenario once."""
 
     def __init__(self, df: DenseFrame, space: EntangleSpace, eta,
                  model: PredKripkeModel, sigma2, max_sigma: int,
-                 gamma: Optional[HornTheory] = None):
+                 paths: PointPaths):
         self.df = df
         self.space = space
         self.eta = eta
         self.model = model
         self.sigma2 = tuple(sigma2)
         self.max_sigma = max_sigma
-        powers = chain_axiom_powers(gamma) if gamma is not None else None
-        self.ext_cap = max(powers) if powers else 1
+        self.paths = paths
 
     def eval(self, alpha, a, env: dict) -> EvalVerdict:
         if isinstance(a, Falsum):
@@ -374,7 +407,7 @@ class DenseEvaluator:
                     raise EvaluationError(
                         "scenario formulas must be constant-free")
                 args.append(self.eta(alpha, env[term.name]))
-            world = f0(alpha, self.df.frame)[-1]
+            world = self.paths[alpha][-1]
             return EvalVerdict(self.model.holds(a.name, world, tuple(args)),
                                True)
         if isinstance(a, Implies):
@@ -392,32 +425,31 @@ class DenseEvaluator:
             return self._eval_box(alpha, a, env)
         raise EvaluationError(f"unsupported formula node {a!r}")
 
-    def _gap_cap(self, alpha, body) -> int:
-        # capped zero runs suffice once the cap reaches st(alpha) (see
-        # enumerate_dstar): each box below appends its letters past m >=
-        # st(gamma), where h never reaches them, so the body sees gamma only
-        # through xi(alpha, gamma); the cap keeps a margin of one ext_cap
-        # step per nested box
-        return st(alpha) + modal_depth(body) * self.ext_cap + 1
-
     def _eval_forall(self, alpha, a, env) -> EvalVerdict:
-        gap_cap = self._gap_cap(alpha, a.body)
-        family = enumerate_dstar(self.sigma2, self.max_sigma, gap_cap)
+        gap_max = st(alpha)
+        family = enumerate_dstar(self.sigma2, self.max_sigma, gap_max)
         overflow = (self.sigma2[0],) * (self.max_sigma + 1)
-        family = family + [(STOP,) * g + overflow for g in range(gap_cap + 1)]
+        family += [(STOP,) * g + overflow for g in range(gap_max + 1)]
+        firsts = {}
+        for gamma in family:
+            firsts.setdefault(xi(self.space, alpha, gamma), gamma)
         return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
-                         for gamma in family)
+                         for gamma in firsts.values())
 
     def _eval_box(self, alpha, a, env) -> EvalVerdict:
-        path = f0(alpha, self.df.frame)
+        path = self.paths[alpha]
         try:
             exts = self.df.extensions(path)
         except BudgetExceeded:
             return EvalVerdict(True, False, ("frontier", path))
         m = max([st(alpha)] + [st(g) for g in env.values()])
         pre = restrict(alpha, m)
-        return self._all(self.eval(canonical(pre + ext), a.body, env)
-                         for ext in sorted(exts))
+        betas = []
+        for ext in sorted(exts):
+            beta = canonical(pre + ext)
+            self.paths.setdefault(beta, path + ext)
+            betas.append(beta)
+        return self._all(self.eval(beta, a.body, env) for beta in betas)
 
     @staticmethod
     def _all(verdicts) -> EvalVerdict:

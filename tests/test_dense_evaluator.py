@@ -1,31 +1,55 @@
-"""The exact dense evaluator against the padding-window evaluator it
-replaced, on seeded scenarios built here."""
+"""The exact dense evaluator against the padding-window, word-by-word
+evaluator it replaced, on seeded scenarios built here, and the locality of
+xi that lets a ``forall`` quantify over classes."""
 
 import random
 
 import pytest
 
-from mlwb.dense import DenseFrame, EvalVerdict, canonical, f0, padded_words, \
-    restrict, st
-from mlwb.entangle import build_psi
+from mlwb.dense import STOP, DenseFrame, EvalVerdict, canonical, \
+    enumerate_canonical, f0, padded_words, restrict, st
+from mlwb.entangle import build_psi, xi
+from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
-from mlwb.pipeline import DenseEvaluator, make_eta, parse_scenario
+from mlwb.pipeline import DenseEvaluator, PointPaths, enumerate_dstar, \
+    make_eta, parse_scenario
 from mlwb.predicate import eval_pred_kripke
 from mlwb.syntax import modal_depth, parse_pred
 
 
+def forall_family(sigma2, max_sigma, gap_max):
+    """The words a forall ranges over with zero runs capped at gap_max: the
+    capped D* family plus the overflow words."""
+    overflow = (sigma2[0],) * (max_sigma + 1)
+    return enumerate_dstar(sigma2, max_sigma, gap_max) \
+        + [(STOP,) * g + overflow for g in range(gap_max + 1)]
+
+
 class WindowEvaluator(DenseEvaluator):
-    """Reference: the padding-window evaluator.  A box evaluates every
-    padding 0^j (j <= j_max) of each extension family and certifies a true
-    value only when the paddings from j_max - 1 on agree; a false value is
-    certified only when every padding is false.  Each forall family is
-    widened to the deepest padded point a nested box can reach."""
+    """Reference: the padding-window evaluator, quantifying word by word.  A
+    box evaluates every padding 0^j (j <= j_max) of each extension family
+    and certifies a true value only when the paddings from j_max - 1 on
+    agree; a false value is certified only when every padding is false.  A
+    forall evaluates its body at every word of its family, widened to the
+    deepest padded point a nested box can reach (ext_cap letters per step,
+    the largest power of a chain sentence of Gamma)."""
+
+    def __init__(self, *args, gamma=None):
+        super().__init__(*args)
+        powers = chain_axiom_powers(gamma) if gamma is not None else None
+        self.ext_cap = max(powers) if powers else 1
 
     def _gap_cap(self, alpha, body):
         cap = st(alpha)
         for _ in range(modal_depth(body)):
             cap += self.ext_cap * (self.df.j_max + 1)
         return cap + 1
+
+    def _eval_forall(self, alpha, a, env):
+        family = forall_family(self.sigma2, self.max_sigma,
+                               self._gap_cap(alpha, a.body))
+        return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
+                         for gamma in family)
 
     def _eval_box(self, alpha, a, env):
         m = max([st(alpha)] + [st(g) for g in env.values()])
@@ -129,11 +153,12 @@ def _longest_path(edges, i):
 
 def evaluators(s):
     df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth,
-                    k_max=s.k_max, j_max=s.j_max)
+                    j_max=s.j_max)
     psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
-    eta = make_eta(s.space, psi, s.pframe)
-    return [cls(df, s.space, eta, s.model, s.sigma2, s.max_sigma,
-                gamma=s.gamma) for cls in (DenseEvaluator, WindowEvaluator)]
+    paths = PointPaths(df.frame)
+    args = (df, s.space, make_eta(s.space, psi, s.pframe, paths), s.model,
+            s.sigma2, s.max_sigma, paths)
+    return DenseEvaluator(*args), WindowEvaluator(*args, gamma=s.gamma)
 
 
 @pytest.mark.parametrize("kind", ["tree", "dag", "loop"])
@@ -156,3 +181,33 @@ def test_agrees_with_window_evaluator(kind):
                 assert got.witness[0] == "frontier", text
                 uncertified += 1
     assert (uncertified > 0) == (kind == "loop")
+
+
+@pytest.mark.parametrize("kind", ["tree", "dag", "loop"])
+def test_box_chains_keep_the_class(kind):
+    """For a point alpha, a word gamma of the family a forall binds at alpha
+    and a point beta that a chain of boxes reaches from alpha, each step at
+    m >= st(gamma), xi(beta, gamma) = xi(alpha, gamma)."""
+    rng = random.Random(f"class-locality-{kind}")
+    checked = 0
+    for _ in range(6):
+        text = random_scenario(rng, kind, "box box box P(x)", 4, 2)
+        s = parse_scenario(text, kind)
+        df = DenseFrame(s.pframe.frame, depth=s.depth)
+        for alpha in enumerate_canonical(df.frame, 3):
+            for gamma in forall_family(s.sigma2, s.max_sigma, st(alpha)):
+                want = xi(s.space, alpha, gamma)
+                beta = alpha
+                for _ in range(3):
+                    try:
+                        exts = df.extensions(f0(beta, df.frame))
+                    except BudgetExceeded:
+                        break
+                    if not exts:
+                        break
+                    m = max(st(beta), st(gamma))
+                    beta = canonical(restrict(beta, m) + rng.choice(exts))
+                    assert xi(s.space, beta, gamma) == want, \
+                        (text, alpha, gamma, beta)
+                    checked += 1
+    assert checked > 0

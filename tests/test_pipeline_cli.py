@@ -36,6 +36,10 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="exactly one"):
             parse_scenario(text)
 
+    def test_k_max_is_accepted_and_ignored(self):
+        s = parse_scenario(BARCAN.replace("[bounds]", "[bounds]\nk_max = 1"))
+        assert s == parse_scenario(BARCAN)
+
     def test_unknown_bound_rejected(self):
         text = BARCAN.replace("[bounds]", "[bounds]\nwibble = 3")
         with pytest.raises(ValueError, match="unknown key"):
@@ -80,11 +84,13 @@ depth = 3
     (BARCAN.replace("val P @ v = {(d)}",
                     "val P @ v = {(d)}\nval P @ v = {(d), (e)}"),
      "duplicate val line for 'P' @ 'v'"),
+    (BARCAN.replace("[bounds]", "[bounds]\nk_max = x"),
+     "invalid literal for int()"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
         "frame-violates-reflexivity", "dalphabet-overlaps-worlds",
-        "repeated-val-line"])
+        "repeated-val-line", "non-integer-k_max"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -130,13 +136,18 @@ class TestPipeline:
         report = _strip_times(render_report(run_pipeline(s)))
         assert report == (GOLDEN / f"{name}.report").read_text()
 
-    @pytest.mark.parametrize("formula", [
-        "forall x. forall y. (P(x) -> box P(x))",
-        "forall x. forall y. box (P(x) -> P(y))",
-    ])
-    def test_two_variable_formula_certified(self, formula):
+    @pytest.mark.parametrize("formula, max_sigma", [
+        pytest.param(formula, max_sigma, id=formula if max_sigma == 2
+                     else f"max_sigma={max_sigma}: {formula}")
+        for formula, max_sigma in [
+            ("forall x. forall y. (P(x) -> box P(x))", 2),
+            ("forall x. forall y. box (P(x) -> P(y))", 2),
+            ("forall x. forall y. box (P(x) -> P(y))", 3),
+            ("forall x. forall y. box box (P(x) -> P(y))", 3),
+        ]])
+    def test_two_variable_formula_certified(self, formula, max_sigma):
         s = dataclasses.replace(
-            parse_scenario(BARCAN, "barcan"), max_sigma=2,
+            parse_scenario(BARCAN, "barcan"), max_sigma=max_sigma,
             formula=universal_closure(parse_pred(formula)))
         report = run_pipeline(s)
         assert report.dense_certified, render_report(report)
@@ -153,6 +164,19 @@ class TestPipeline:
         out = render_report(report)
         assert "  reason: frontier\n" in out
         assert "  frontier: (u, v)\n" in out
+
+    def test_depth_two_checks_the_root_point(self):
+        text = ("[frame]\nworlds u v\nroot u\nedges u->v\n"
+                "[domains]\ndomain u = {d}\ndomain v = {d, e}\n"
+                "[valuation]\nval P @ u = {(d)}\nval P @ v = {(d)}\n"
+                "[formula]\nforall x. box P(x)\n[bounds]\ndepth = 2\n")
+        report = run_pipeline(parse_scenario(text, "depth-two"))
+        assert all(stage.ok for stage in report.stages), render_report(report)
+        detail = {key: value for stage in report.stages
+                  for key, value in stage.detail.items()}
+        for key in ("xi_classes_checked", "xi_locality_members",
+                    "dstar_size"):
+            assert detail[key] > 0, render_report(report)
 
     def test_barcan_refuted(self):
         report = run_pipeline(parse_scenario(BARCAN, "barcan"))
