@@ -21,10 +21,9 @@ from .entangle import EntangleSpace, build_psi, canonicalize, \
     entangle_enumerate, equiv, equiv_bruteforce, h, t, xi
 from .horn import HornTheory, axiom_to_horn, axioms_to_theory, gamma_close, \
     transitive_closure_squaring
-from .kripke import KripkeFrame, KripkeModel, KripkeMorphism, \
-    axiom_inclusion_formula, brute_validity, check_axiom_inclusion, \
-    check_pretransitive, eval_kripke, pretransitivity_formula, \
-    truth_preservation_test, unravel
+from .kripke import KripkeFrame, KripkeModel, axiom_inclusion_formula, \
+    brute_validity, check_axiom_inclusion, check_pretransitive, \
+    eval_kripke, pretransitivity_formula, truth_preservation_test, unravel
 from .neighbourhood import NFrame, NModel, eval_nbhd, nf_from_kripke, \
     n_morphism_from_kripke, n_truth_preservation_test
 from .predicate import PredKripkeFrame, PredKripkeModel, PredNFrame, \
@@ -32,7 +31,7 @@ from .predicate import PredKripkeFrame, PredKripkeModel, PredNFrame, \
     eval_pred_kripke, eval_pred_nbhd, pullback_kk, \
     pred_truth_preservation_test, random_pred_formula
 from .pipeline import parse_scenario, render_report, run_pipeline
-from .syntax import Box, Falsum, Implies, Letter
+from .syntax import Box, Falsum, Implies, Letter, neg
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent.parent / "scenarios"
 
@@ -218,7 +217,6 @@ def criterion_6_truth_preservation() -> dict:
 
 def _formula_enumeration() -> list:
     p, q = Letter("p"), Letter("q")
-    neg = lambda a: Implies(a, Falsum())
     base = [p, q, neg(p), Implies(p, q), Implies(q, p), Falsum()]
     depth1 = [Box(1, a) for a in base] + [neg(Box(1, a)) for a in base]
     depth2 = [Box(1, a) for a in depth1[:6]] + \

@@ -40,8 +40,10 @@ def _parse_map(text: str) -> dict:
     for lineno, line in content_lines(text):
         if "->" not in line:
             raise InputError(f"map line {lineno}: expected 'x -> y'")
-        left, right = line.split("->", 1)
-        mapping[left.strip()] = right.strip()
+        left, right = (side.strip() for side in line.split("->", 1))
+        if left in mapping:
+            raise InputError(f"map line {lineno}: duplicate line for {left!r}")
+        mapping[left] = right
     return mapping
 
 
@@ -52,8 +54,12 @@ def _parse_element_map(text: str) -> dict:
             raise InputError(
                 f"elements line {lineno}: expected 'at w : a -> d'")
         where, rest = line[3:].split(":", 1)
-        left, right = rest.split("->", 1)
-        mapping.setdefault(where.strip(), {})[left.strip()] = right.strip()
+        where = where.strip()
+        left, right = (side.strip() for side in rest.split("->", 1))
+        if left in mapping.get(where, {}):
+            raise InputError(f"elements line {lineno}: duplicate line for"
+                             f" {left!r} at {where!r}")
+        mapping.setdefault(where, {})[left] = right
     return mapping
 
 

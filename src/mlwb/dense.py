@@ -23,7 +23,8 @@ from .kripke import (
     STOP, BudgetExceeded, EvaluationError, KripkeFrame, Verdict,
     brute_validity, grow_words, relation_compose, unravel,
 )
-from .syntax import Box, Falsum, Formula, Implies, Letter, modal_depth
+from .syntax import Box, Falsum, Formula, Implies, Letter, dia, modal_depth, \
+    neg
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +473,8 @@ def counterexample_g(k_max: int = 10) -> dict:
     parity = ParityVal("1", 0)
     model = DenseModel(df, {"p": parity})
     p = Letter("p")
-    notp = Implies(p, Falsum())
-    dia_p = Implies(Box(1, notp), Falsum())
-    dia_notp = Implies(Box(1, p), Falsum())
+    dia_p = dia(p)
+    dia_notp = neg(Box(1, p))  # dia not p, up to the double negation
     alpha = ()
     v_dia_p = bounded_eval(model, alpha, dia_p)
     v_dia_notp = bounded_eval(model, alpha, dia_notp)

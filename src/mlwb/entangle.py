@@ -1,5 +1,6 @@
 """Entanglement of the base frame with a domain alphabet, the ~ quotient,
-D-sharp domains, the psi surjections, and the h/t/xi machinery.
+D-sharp domains, the h/t/xi machinery, the constant domain D* with its
+classes at a point, and the psi surjections.
 
 An entangled word interleaves a rooted path of the base frame with letters
 from a finite domain alphabet (standing in for an S5-total second frame).
@@ -14,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .dense import DenseFrame, canonical, dropped, f0, padded_words, st, \
-    uk_members
+from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
 from .kripke import (
     STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
 )
@@ -262,56 +262,8 @@ def t(space: EntangleSpace, alpha, ybar) -> tuple:
     return result
 
 
-def zero_pattern(space: EntangleSpace, word) -> tuple:
-    """Replace base-frame letters by stops, keeping domain letters."""
-    return canonical(tuple(STOP if space.is_w(a) else a for a in word))
-
-
 def xi(space: EntangleSpace, alpha, gamma) -> tuple:
     return canonicalize(space, h(space, alpha, gamma))
-
-
-def xi_surjectivity_check(space: EntangleSpace, alpha, max_sigma: int) -> dict:
-    """Every truncated class over f0(alpha) is hit by xi(alpha, .), with the
-    witness gamma constructed through t."""
-    path = f0(alpha, space.frame)
-    missed = []
-    witnesses = {}
-    classes = sorted(dsharp(space, path, max_sigma))
-    for cls in classes:
-        # the fiber member of the class: the canonical word followed by the
-        # not-yet-consumed path steps
-        used = len([a for a in cls if space.is_w(a)])
-        ybar = cls + path[1 + used:]
-        alpha_prime = t(space, alpha, ybar)  # self-checks f0(t(., .)) = ybar
-        gamma = _witness_gamma(space, alpha, alpha_prime, ybar, cls)
-        if gamma is None:
-            missed.append(cls)
-        else:
-            witnesses[cls] = gamma
-    return {
-        "classes": len(classes),
-        "missed": missed,
-        "witnesses": witnesses,
-        "ok": not missed,
-    }
-
-
-def _witness_gamma(space, alpha, alpha_prime, ybar, cls):
-    """A domain stop word gamma with xi(alpha, gamma) == cls, or None.
-
-    The zero patterns of the fiber representative and of t's output both
-    work whenever alpha is stop-free; interior stops of alpha can shift
-    slot positions, so fall back to a bounded search over zero-run
-    patterns around the domain letters of the class."""
-    for guess in (zero_pattern(space, ybar), zero_pattern(space, alpha_prime)):
-        if xi(space, alpha, guess) == cls:
-            return guess
-    sigmas = [c for c in cls if space.is_d(c)]
-    for _, gamma in padded_words((), sigmas, len(canonical(alpha)) + 2):
-        if xi(space, alpha, gamma) == cls:
-            return gamma
-    return None
 
 
 def xi_locality_check(space: EntangleSpace, df: DenseFrame, alpha, gamma) -> dict:
@@ -326,6 +278,55 @@ def xi_locality_check(space: EntangleSpace, df: DenseFrame, alpha, gamma) -> dic
                   if xi(space, beta, gamma) != value]
     return {"m": m, "members": len(members), "families": len(families),
             "mismatches": mismatches, "ok": not mismatches}
+
+
+# ---------------------------------------------------------------------------
+# the constant domain D* and its classes at a point
+
+
+def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
+    """Canonical domain stop words with at most max_sigma letters and zero
+    runs capped at gap_max.
+
+    The family is profile-complete at every point alpha with st(alpha) <=
+    gap_max: it hits every class xi(alpha, gamma) that a word gamma with at
+    most max_sigma letters hits.  In ``h`` each zero of gamma consumes the
+    next unconsumed base letter of alpha once the walk has reached that
+    letter's position, and every position of alpha is at most st(alpha).
+    So a zero run of length >= st(alpha) consumes every letter of alpha
+    still left, and a longer run consumes nothing more: shortening it to
+    gap_max leaves xi(alpha, gamma), hence eta(alpha, gamma), as it was."""
+    steps = [(STOP,) * gap + (s,) for gap in range(gap_max + 1) for s in sigma2]
+    return grow_words(lambda word: steps, max_sigma)
+
+
+def class_table(space: EntangleSpace, alpha, max_sigma: int) -> dict:
+    """Class xi(alpha, gamma) -> the first word gamma of the family that a
+    ``forall`` at alpha ranges over: ``enumerate_dstar`` with zero runs
+    capped at st(alpha), then the overflow words (max_sigma + 1 copies of
+    the first domain letter after at most st(alpha) zeros), which stand for
+    the classes beyond the truncated domains.  The keys, in the order the
+    family first hits them, include every class that a word with at most
+    max_sigma letters hits at alpha (see ``enumerate_dstar``)."""
+    gap_max = st(alpha)
+    overflow = (space.sigma2[0],) * (max_sigma + 1)
+    family = enumerate_dstar(space.sigma2, max_sigma, gap_max) \
+        + [(STOP,) * g + overflow for g in range(gap_max + 1)]
+    table = {}
+    for gamma in family:
+        table.setdefault(xi(space, alpha, gamma), gamma)
+    return table
+
+
+def xi_surjectivity_check(space: EntangleSpace, alpha, max_sigma: int) -> dict:
+    """Every truncated class over f0(alpha) is hit by xi(alpha, .) on the
+    family that a ``forall`` at alpha ranges over (``class_table``), so the
+    check covers exactly the words the dense evaluator quantifies over."""
+    path = f0(alpha, space.frame)
+    table = class_table(space, alpha, max_sigma)
+    classes = sorted(dsharp(space, path, max_sigma))
+    missed = [cls for cls in classes if cls not in table]
+    return {"classes": len(classes), "missed": missed, "ok": not missed}
 
 
 # ---------------------------------------------------------------------------

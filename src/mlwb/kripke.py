@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .syntax import FALSUM, Box, Falsum, Formula, Implies, Letter, box_power, \
-    content_lines, letters, parse_set
+    conj, content_lines, letters, parse_set
 
 STOP = "0"
 
@@ -286,12 +286,8 @@ def axiom_inclusion_formula(k: int) -> Formula:
 def pretransitivity_formula(k: int) -> Formula:
     conjuncts = box_power(Letter("p"), 0)
     for i in range(1, k + 1):
-        conjuncts = _conj(conjuncts, box_power(Letter("p"), i))
+        conjuncts = conj(conjuncts, box_power(Letter("p"), i))
     return Implies(conjuncts, box_power(Letter("p"), k + 1))
-
-
-def _conj(a, b):
-    return Implies(Implies(a, Implies(b, FALSUM)), FALSUM)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,8 @@ def grow_words(steps, rounds: int) -> list:
 
 def parse_frame(text: str) -> KripkeFrame:
     """Line format: ``frame <name>``, ``worlds w1 w2 ...``, ``root w``,
-    ``edges a->b c->d ...``.  Duplicate world ids are rejected."""
+    ``edges a->b c->d ...``.  Duplicate world ids and a second ``root`` line
+    are rejected."""
     worlds: list = []
     edges: list = []
     root = None
@@ -360,6 +357,8 @@ def parse_frame(text: str) -> KripkeFrame:
                     raise ValueError(f"line {lineno}: duplicate world {w!r}")
                 worlds.append(w)
         elif head == "root":
+            if root is not None:
+                raise ValueError(f"line {lineno}: duplicate root line")
             (root,) = rest
         elif head == "edges":
             for item in rest:

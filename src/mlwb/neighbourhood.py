@@ -149,8 +149,11 @@ def parse_nframe(text: str) -> NFrame:
                 points.append(x)
         elif head == "base":
             lhs, rhs = rest[0].split("=", 1)
-            base[lhs.strip()] = tuple(frozenset(parse_set(chunk, lineno))
-                                      for chunk in rhs.split())
+            x = lhs.strip()
+            if x in base:
+                raise ValueError(f"line {lineno}: duplicate base line for {x!r}")
+            base[x] = tuple(frozenset(parse_set(chunk, lineno))
+                            for chunk in rhs.split())
         else:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     return NFrame.make(points, base)

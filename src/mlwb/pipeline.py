@@ -13,7 +13,8 @@ not change the image of any constant, so the box quantifier evaluates each
 family once, unpadded (see ``DenseEvaluator``), and the universal quantifier
 runs over a profile-complete finite family of constant-domain stop words,
 one representative per class at the binding point (plus overflow words for
-the classes beyond the truncated domains; see ``enumerate_dstar``).  A
+the classes beyond the truncated domains; see ``entangle.class_table``,
+which the f0-xi-morphism stage checks against the D-sharp classes).  A
 verdict is uncertified for one reason only: a box reached a frontier path
 of the truncated unravelling, and the verdict names that path.
 """
@@ -27,10 +28,10 @@ from typing import Optional
 
 from .dense import DenseFrame, STOP, EvalVerdict, canonical, \
     enumerate_canonical, f0, restrict, st, uk_members
-from .entangle import EntangleSpace, build_psi, xi, xi_locality_check, \
-    xi_surjectivity_check
+from .entangle import EntangleSpace, build_psi, class_table, \
+    enumerate_dstar, xi, xi_locality_check, xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
-from .kripke import BudgetExceeded, EvaluationError, grow_words, parse_frame
+from .kripke import BudgetExceeded, EvaluationError, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
 from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
@@ -109,10 +110,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     gamma = None
     if sections.get("horn", "").strip():
         gamma = parse_horn_theory(sections["horn"])
-    bounds = {}
+    bounds, seen = {}, set()
     for lineno, line in content_lines(sections.get("bounds", "")):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ValueError(f"bounds line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key == "dalphabet":
             bounds["sigma2"] = tuple(parse_set(value, lineno))
             if not bounds["sigma2"]:
@@ -144,27 +148,6 @@ def _check_bounds(s: Scenario) -> None:
         if getattr(s, key) < value:
             raise ValueError(f"{key} = {getattr(s, key)} is below its minimum"
                              f" {value} for this scenario")
-
-
-# ---------------------------------------------------------------------------
-# the constant domain
-
-
-def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
-    """Canonical domain stop words with at most max_sigma letters and zero
-    runs capped at gap_max.
-
-    The family is profile-complete at every point alpha with st(alpha) <=
-    gap_max: it hits every class xi(alpha, gamma) that a word gamma with at
-    most max_sigma letters hits.  In ``entangle.h`` each zero of gamma
-    consumes the next unconsumed base letter of alpha once the walk has
-    reached that letter's position, and every position of alpha is at most
-    st(alpha).  So a zero run of length >= st(alpha) consumes every letter
-    of alpha still left, and a longer run consumes nothing more: shortening
-    it to gap_max leaves xi(alpha, gamma), hence eta(alpha, gamma), as it
-    was."""
-    steps = [(STOP,) * gap + (s,) for gap in range(gap_max + 1) for s in sigma2]
-    return grow_words(lambda word: steps, max_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +248,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
 
     def evaluation_stage():
         ev = DenseEvaluator(ctx["df"], s.space, ctx["eta"], s.model,
-                            s.sigma2, s.max_sigma, paths)
+                            s.max_sigma, paths)
         verdict = ev.eval((), s.formula, {})
         report.dense_value = verdict.value
         report.dense_certified = verdict.certified
@@ -365,7 +348,7 @@ class DenseEvaluator:
     - so eta, and with it every atom value, is the same for every j, and by
       induction so is every value under nested boxes, since each ``forall``
       family is profile-complete at the points its body reaches (see
-      ``enumerate_dstar`` and the corollary below).
+      ``entangle.enumerate_dstar`` and the corollary below).
 
     For k >= m, U_k(alpha) consists of padded members of these families
     (with alpha itself on a reflexive step), and U_k only grows as k falls.
@@ -380,20 +363,19 @@ class DenseEvaluator:
     xi(alpha, gamma).  The body's verdict (value, certified flag and
     witness) therefore depends on gamma only through xi(alpha, gamma), and
     the ``forall`` family only has to hit every class at alpha, which
-    ``enumerate_dstar`` does at gap_max = st(alpha).  The body is evaluated
-    once per class, at its first word in the family.
+    ``entangle.enumerate_dstar`` does at gap_max = st(alpha).  The body is
+    evaluated once per entry of ``entangle.class_table``: once per class, at
+    its first word in the family.
 
     ``paths`` maps each point to its f0 path; shared with ``make_eta``, it
     validates each point of the scenario once."""
 
     def __init__(self, df: DenseFrame, space: EntangleSpace, eta,
-                 model: PredKripkeModel, sigma2, max_sigma: int,
-                 paths: PointPaths):
+                 model: PredKripkeModel, max_sigma: int, paths: PointPaths):
         self.df = df
         self.space = space
         self.eta = eta
         self.model = model
-        self.sigma2 = tuple(sigma2)
         self.max_sigma = max_sigma
         self.paths = paths
 
@@ -426,15 +408,9 @@ class DenseEvaluator:
         raise EvaluationError(f"unsupported formula node {a!r}")
 
     def _eval_forall(self, alpha, a, env) -> EvalVerdict:
-        gap_max = st(alpha)
-        family = enumerate_dstar(self.sigma2, self.max_sigma, gap_max)
-        overflow = (self.sigma2[0],) * (self.max_sigma + 1)
-        family += [(STOP,) * g + overflow for g in range(gap_max + 1)]
-        firsts = {}
-        for gamma in family:
-            firsts.setdefault(xi(self.space, alpha, gamma), gamma)
+        table = class_table(self.space, alpha, self.max_sigma)
         return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
-                         for gamma in firsts.values())
+                         for gamma in table.values())
 
     def _eval_box(self, alpha, a, env) -> EvalVerdict:
         path = self.paths[alpha]

@@ -8,11 +8,11 @@ import pytest
 
 from mlwb.dense import STOP, DenseFrame, EvalVerdict, canonical, \
     enumerate_canonical, f0, padded_words, restrict, st
-from mlwb.entangle import build_psi, xi
+from mlwb.entangle import build_psi, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
-from mlwb.pipeline import DenseEvaluator, PointPaths, enumerate_dstar, \
-    make_eta, parse_scenario
+from mlwb.pipeline import DenseEvaluator, PointPaths, make_eta, \
+    parse_scenario
 from mlwb.predicate import eval_pred_kripke
 from mlwb.syntax import modal_depth, parse_pred
 
@@ -46,7 +46,7 @@ class WindowEvaluator(DenseEvaluator):
         return cap + 1
 
     def _eval_forall(self, alpha, a, env):
-        family = forall_family(self.sigma2, self.max_sigma,
+        family = forall_family(self.space.sigma2, self.max_sigma,
                                self._gap_cap(alpha, a.body))
         return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
                          for gamma in family)
@@ -157,7 +157,7 @@ def evaluators(s):
     psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
     paths = PointPaths(df.frame)
     args = (df, s.space, make_eta(s.space, psi, s.pframe, paths), s.model,
-            s.sigma2, s.max_sigma, paths)
+            s.max_sigma, paths)
     return DenseEvaluator(*args), WindowEvaluator(*args, gamma=s.gamma)
 
 

@@ -6,7 +6,6 @@ from mlwb.entangle import (
     EntangleSpace, build_psi, canonicalize, domain_monotonicity_check,
     dsharp, entangle_enumerate, equiv, equiv_bruteforce, fiber, h,
     is_entangled, p1, p2, t, xi, xi_locality_check, xi_surjectivity_check,
-    zero_pattern,
 )
 from mlwb.predicate import PredKripkeFrame, check_kk_morphism
 
@@ -150,6 +149,22 @@ class TestXi:
             rep = xi_surjectivity_check(sp, alpha, max_sigma=2)
             assert rep["ok"], rep["missed"]
 
+    def test_surjectivity_checks_the_forall_family(self, monkeypatch):
+        """The check ranges over the family ``class_table`` builds, so a
+        family whose zero runs stop one short of st(alpha) misses
+        classes."""
+        import mlwb.entangle as entangle
+        sp = chain_space(3)
+        assert xi_surjectivity_check(sp, ("w1",), max_sigma=2)["ok"]
+        short = entangle.enumerate_dstar
+        monkeypatch.setattr(
+            entangle, "enumerate_dstar",
+            lambda sigma2, max_sigma, gap_max:
+                short(sigma2, max_sigma, gap_max - 1))
+        rep = xi_surjectivity_check(sp, ("w1",), max_sigma=2)
+        assert not rep["ok"]
+        assert ("w1", "x") in rep["missed"]
+
     def test_locality(self):
         sp = chain_space(4)
         df = DenseFrame(sp.frame, depth=5)
@@ -157,10 +172,6 @@ class TestXi:
             for gamma in [("x",), (STOP, "x"), ("x", STOP, "y")]:
                 rep = xi_locality_check(sp, df, alpha, gamma)
                 assert rep["ok"], rep
-
-    def test_zero_pattern(self):
-        sp = chain_space(3)
-        assert zero_pattern(sp, ("x", "w1", "y")) == ("x", STOP, "y")
 
     def test_xi_lands_in_dsharp(self):
         sp = chain_space(4)

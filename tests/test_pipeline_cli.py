@@ -86,11 +86,15 @@ depth = 3
      "duplicate val line for 'P' @ 'v'"),
     (BARCAN.replace("[bounds]", "[bounds]\nk_max = x"),
      "invalid literal for int()"),
+    (BARCAN.replace("depth = 5", "depth = 5\ndepth = 9"),
+     "bounds line 2: duplicate key 'depth'"),
+    (BARCAN.replace("root u", "root u\nroot v"), "duplicate root line"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
         "frame-violates-reflexivity", "dalphabet-overlaps-worlds",
-        "repeated-val-line", "non-integer-k_max"])
+        "repeated-val-line", "non-integer-k_max", "repeated-bounds-key",
+        "repeated-root-line"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -264,3 +268,111 @@ class TestCli:
 
     def test_missing_file_exits_2(self):
         assert main(["parse", "--kind", "frame", "/nonexistent/frame"]) == 2
+
+
+NFRAME_MORPHISM = """[source]
+points a b c
+base a = {b,c}
+base b = {b}
+base c = {c}
+[target]
+points x y
+base x = {y}
+base y = {y}
+[map]
+a -> x
+b -> y
+c -> y
+"""
+
+KK_MORPHISM = """[source]
+worlds r s
+root r
+edges r->s
+[source-domains]
+domain r = {d}
+domain s = {d, e}
+[target]
+worlds u v
+root u
+edges u->v
+[target-domains]
+domain u = {m}
+domain v = {m, n}
+[map]
+r -> u
+s -> v
+[elements]
+at r : d -> m
+at s : d -> m
+at s : e -> n
+"""
+
+NK_MORPHISM = """[space]
+points a b
+base a = {b}
+base b = {b}
+[dstar]
+dstar = {d, e}
+[target]
+worlds u v
+root u
+edges u->v v->v
+[target-domains]
+domain u = {m, n}
+domain v = {m, n}
+[map]
+a -> u
+b -> v
+[elements]
+at a : d -> m
+at a : e -> n
+at b : d -> m
+at b : e -> n
+"""
+
+
+class TestPmorphCommand:
+    @pytest.mark.parametrize("kind, text", [
+        ("nframe", NFRAME_MORPHISM), ("kk", KK_MORPHISM),
+        ("nk", NK_MORPHISM)], ids=["nframe", "kk", "nk"])
+    def test_valid_morphism_exits_0(self, tmp_path, capsys, kind, text):
+        f = tmp_path / "morphism.txt"
+        f.write_text(text)
+        assert main(["pmorph", "--kind", kind, str(f)]) == 0
+        assert f"{kind} p-morphism: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, text, condition", [
+        ("nframe", NFRAME_MORPHISM.replace("c -> y", "c -> x"), "zag"),
+        ("kk", KK_MORPHISM.replace("at s : d -> m", "at s : d -> n")
+                          .replace("at s : e -> n", "at s : e -> m"),
+         "domain-map-disagreement"),
+        ("nk", NK_MORPHISM.replace("at b : d -> m", "at b : d -> n")
+                          .replace("at b : e -> n", "at b : e -> m"),
+         "domain-map-not-locally-stable"),
+    ], ids=["nframe", "kk", "nk"])
+    def test_violated_morphism_exits_1(self, tmp_path, capsys, kind, text,
+                                       condition):
+        f = tmp_path / "morphism.txt"
+        f.write_text(text)
+        assert main(["pmorph", "--kind", kind, str(f)]) == 1
+        assert f"VIOLATION {condition}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("nframe", NFRAME_MORPHISM.replace("base c = {c}",
+                                           "base c = {c}\nbase c = {b,c}"),
+         "line 5: duplicate base line for 'c'"),
+        ("kk", KK_MORPHISM.replace("s -> v", "s -> v\ns -> u"),
+         "map line 3: duplicate line for 's'"),
+        ("kk", KK_MORPHISM.replace("at s : e -> n",
+                                   "at s : e -> n\nat s : e -> m"),
+         "elements line 4: duplicate line for 'e' at 's'"),
+        ("nk", NK_MORPHISM.replace("root u", "root u\nroot v"),
+         "line 3: duplicate root line"),
+    ], ids=["nframe-base-line", "map-line", "elements-line", "root-line"])
+    def test_repeated_line_exits_2(self, tmp_path, capsys, kind, text,
+                                   message):
+        f = tmp_path / "morphism.txt"
+        f.write_text(text)
+        assert main(["pmorph", "--kind", kind, str(f)]) == 2
+        assert message in capsys.readouterr().err
