@@ -12,19 +12,15 @@ import sys
 
 from .dense import counterexample_g
 from .horn import gamma_close, parse_horn_theory
-from .kripke import EvaluationError, KripkeModel, KripkeMorphism, \
+from .kripke import KripkeModel, KripkeMorphism, \
     check_pmorphism, eval_kripke, format_frame, parse_frame, \
     parse_valuation, unravel
 from .neighbourhood import NMorphism, check_n_pmorphism, parse_nframe
 from .predicate import PredKKMorphism, PredNKMorphism, check_kk_morphism, \
     check_nk_morphism, parse_domains
-from .syntax import ParseError, content_lines, parse_prop, parse_set, \
+from .syntax import content_lines, keyed_lines, parse_prop, parse_set, \
     split_sections, to_text
 from .pipeline import parse_scenario, render_report, run_pipeline
-
-
-class InputError(Exception):
-    pass
 
 
 def _read(path: str) -> str:
@@ -32,33 +28,20 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(str(e)) from None
+        raise ValueError(str(e)) from None
 
 
 def _parse_map(text: str) -> dict:
-    mapping = {}
-    for lineno, line in content_lines(text):
-        if "->" not in line:
-            raise InputError(f"map line {lineno}: expected 'x -> y'")
-        left, right = (side.strip() for side in line.split("->", 1))
-        if left in mapping:
-            raise InputError(f"map line {lineno}: duplicate line for {left!r}")
-        mapping[left] = right
-    return mapping
+    """Lines ``x -> y``."""
+    return {x: y for x, (_, y)
+            in keyed_lines(content_lines(text), "->").items()}
 
 
 def _parse_element_map(text: str) -> dict:
+    """Lines ``at w : a -> d``, as ``{w: {a: d}}``."""
     mapping = {}
-    for lineno, line in content_lines(text):
-        if not line.startswith("at ") or ":" not in line or "->" not in line:
-            raise InputError(
-                f"elements line {lineno}: expected 'at w : a -> d'")
-        where, rest = line[3:].split(":", 1)
-        where = where.strip()
-        left, right = (side.strip() for side in rest.split("->", 1))
-        if left in mapping.get(where, {}):
-            raise InputError(f"elements line {lineno}: duplicate line for"
-                             f" {left!r} at {where!r}")
+    for (where, left), (_, right) in keyed_lines(
+            content_lines(text), ":", "->", lead="at").items():
         mapping.setdefault(where, {})[left] = right
     return mapping
 
@@ -108,7 +91,7 @@ def cmd_close(args) -> int:
 def cmd_unravel(args) -> int:
     frame = parse_frame(_read(args.frame))
     if frame.root is None:
-        raise InputError("unravelling needs a rooted frame")
+        raise ValueError("unravelling needs a rooted frame")
     u = unravel(frame, args.depth)
     for path in sorted(u.frame.worlds, key=lambda p: (len(p), p)):
         tag = "" if path in u.interior else "   # frontier"
@@ -141,11 +124,11 @@ def cmd_pmorph(args) -> int:
     else:
         sections = split_sections(text, "space", "dstar", "target",
                                   "target-domains", "map", "elements")
-        lines = list(content_lines(sections["dstar"]))
-        if len(lines) != 1 or "=" not in lines[0][1]:
-            raise InputError("expected one 'dstar = {...}' line in [dstar]")
-        lineno, line = lines[0]
-        dstar = frozenset(parse_set(line.split("=", 1)[1], lineno))
+        lines = keyed_lines(sections["dstar"], "=")
+        if list(lines) != ["dstar"]:
+            raise ValueError("expected one 'dstar = {...}' line in [dstar]")
+        lineno, value = lines["dstar"]
+        dstar = frozenset(parse_set(value, lineno))
         target = parse_domains(sections["target-domains"],
                                parse_frame(sections["target"]))
         m = PredNKMorphism(parse_nframe(sections["space"]), target, dstar,
@@ -253,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ParseError, ValueError, EvaluationError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

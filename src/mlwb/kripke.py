@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .syntax import FALSUM, Box, Falsum, Formula, Implies, Letter, box_power, \
-    conj, content_lines, letters, parse_set
+    conj, content_lines, directives, keyed_lines, letters, names, parse_set
 
 STOP = "0"
 
@@ -344,45 +344,26 @@ def parse_frame(text: str) -> KripkeFrame:
     """Line format: ``frame <name>``, ``worlds w1 w2 ...``, ``root w``,
     ``edges a->b c->d ...``.  Duplicate world ids and a second ``root`` line
     are rejected."""
-    worlds: list = []
-    edges: list = []
+    lines = directives(text, "frame", "worlds", "root", "edges")
     root = None
-    for lineno, line in content_lines(text):
-        head, *rest = line.split()
-        if head == "frame":
-            continue
-        if head == "worlds":
-            for w in rest:
-                if w in worlds:
-                    raise ValueError(f"line {lineno}: duplicate world {w!r}")
-                worlds.append(w)
-        elif head == "root":
-            if root is not None:
-                raise ValueError(f"line {lineno}: duplicate root line")
-            (root,) = rest
-        elif head == "edges":
-            for item in rest:
-                if "->" not in item:
-                    raise ValueError(f"line {lineno}: bad edge {item!r}")
-                u, v = item.split("->", 1)
-                edges.append((u, v))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
-    return KripkeFrame.make(worlds, edges, root)
+    for lineno, root in keyed_lines(lines["root"], lead="root").values():
+        if len(root.split()) != 1:
+            raise ValueError(f"line {lineno}: expected one root world,"
+                             f" found {root!r}")
+    edges = []
+    for lineno, line in lines["edges"]:
+        for item in line.split()[1:]:
+            u, arrow, v = item.partition("->")
+            if not arrow:
+                raise ValueError(f"line {lineno}: bad edge {item!r}")
+            edges.append((u, v))
+    return KripkeFrame.make(names(lines["worlds"], "world"), edges, root)
 
 
 def parse_valuation(text: str) -> dict:
     """``val p = {w1,w2}`` per line."""
-    val = {}
-    for lineno, line in content_lines(text):
-        if not line.startswith("val ") or "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'val p = {{...}}'")
-        name, rhs = line[4:].split("=", 1)
-        name = name.strip()
-        if name in val:
-            raise ValueError(f"line {lineno}: duplicate val line for {name!r}")
-        val[name] = frozenset(parse_set(rhs, lineno))
-    return val
+    return {p: frozenset(parse_set(value, lineno)) for p, (lineno, value)
+            in keyed_lines(content_lines(text), "=", lead="val").items()}
 
 
 def format_frame(frame: KripkeFrame, name: str = "F") -> str:

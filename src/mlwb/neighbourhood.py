@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
     sample_truth_preservation
-from .syntax import Box, Falsum, Formula, Implies, Letter, content_lines, \
-    parse_set
+from .syntax import Box, Falsum, Formula, Implies, Letter, directives, \
+    keyed_lines, names, parse_sets
 
 
 @dataclass(frozen=True)
@@ -135,25 +135,9 @@ def n_truth_preservation_test(f: NMorphism, samples: int = 1000,
 
 
 def parse_nframe(text: str) -> NFrame:
-    """``nframe <name>``, ``points x y ...``, ``base x = {a,b} {c} ...``"""
-    points: list = []
-    base: dict = {}
-    for lineno, line in content_lines(text):
-        head, *rest = line.split(None, 1)
-        if head == "nframe":
-            continue
-        if head == "points":
-            for x in rest[0].split():
-                if x in points:
-                    raise ValueError(f"line {lineno}: duplicate point {x!r}")
-                points.append(x)
-        elif head == "base":
-            lhs, rhs = rest[0].split("=", 1)
-            x = lhs.strip()
-            if x in base:
-                raise ValueError(f"line {lineno}: duplicate base line for {x!r}")
-            base[x] = tuple(frozenset(parse_set(chunk, lineno))
-                            for chunk in rhs.split())
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
-    return NFrame.make(points, base)
+    """``nframe <name>``, ``points x y ...``, ``base x = {a, b} {c} ...``"""
+    lines = directives(text, "nframe", "points", "base")
+    base = {x: tuple(frozenset(u) for u in parse_sets(value, lineno))
+            for x, (lineno, value)
+            in keyed_lines(lines["base"], "=", lead="base").items()}
+    return NFrame.make(names(lines["points"], "point"), base)

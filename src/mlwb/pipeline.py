@@ -35,7 +35,7 @@ from .kripke import BudgetExceeded, EvaluationError, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
 from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
-    horn_to_text, parse_pred, parse_set, split_sections, \
+    horn_to_text, keyed_lines, parse_pred, parse_set, split_sections, \
     subformulas, to_text, universal_closure
 
 
@@ -103,30 +103,28 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     frame = parse_frame(sections["frame"])
     pframe = parse_domains(sections["domains"], frame)
     model = parse_pred_valuation(sections["valuation"], pframe)
-    formula_lines = list(content_lines(sections["formula"]))
+    formula_lines = sections["formula"]
     if len(formula_lines) != 1:
         raise ValueError("[formula] must contain exactly one formula")
     formula = universal_closure(parse_pred(formula_lines[0][1]))
     gamma = None
-    if sections.get("horn", "").strip():
+    if sections.get("horn"):
         gamma = parse_horn_theory(sections["horn"])
-    bounds, seen = {}, set()
-    for lineno, line in content_lines(sections.get("bounds", "")):
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ValueError(f"bounds line {lineno}: duplicate key {key!r}")
-        seen.add(key)
+    bounds = {}
+    for key, (lineno, value) in keyed_lines(
+            sections.get("bounds", []), "=").items():
         if key == "dalphabet":
             bounds["sigma2"] = tuple(parse_set(value, lineno))
             if not bounds["sigma2"]:
-                raise ValueError(f"bounds line {lineno}: empty dalphabet")
-        elif key in ("depth", "j_max", "max_sigma", "seed"):
-            bounds[key] = int(value)
-        elif key == "k_max":
-            int(value)  # accepted for older files; nothing reads it
+                raise ValueError(f"line {lineno}: empty dalphabet")
+        elif key in ("depth", "j_max", "max_sigma", "seed", "k_max"):
+            try:
+                bounds[key] = int(value)
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
         else:
-            raise ValueError(f"bounds line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+    bounds.pop("k_max", None)  # accepted for older files; nothing reads it
     return Scenario(name, pframe, model, formula, gamma, **bounds)
 
 

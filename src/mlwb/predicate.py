@@ -20,7 +20,7 @@ from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
 from .neighbourhood import NFrame, NMorphism, check_n_pmorphism, nf_from_kripke
 from .syntax import (
     Atom, Box, Const, Falsum, Forall, Implies, Formula, Var,
-    constants, content_lines, free_vars, parse_pred, parse_set,
+    constants, content_lines, free_vars, keyed_lines, parse_pred, parse_set,
     substitute_constants, to_text, universal_closure,
 )
 
@@ -377,57 +377,18 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
 
 def parse_domains(text: str, frame: KripkeFrame) -> PredKripkeFrame:
     """Lines ``domain w = {d1,d2}``."""
-    domains = {}
-    for lineno, line in content_lines(text):
-        if not line.startswith("domain "):
-            raise ValueError(f"line {lineno}: expected 'domain w = {{...}}'")
-        head, _, rhs = line[len("domain "):].partition("=")
-        w = head.strip()
-        if w in domains:
-            raise ValueError(f"line {lineno}: duplicate domain for {w!r}")
-        domains[w] = frozenset(parse_set(rhs, lineno))
-    return PredKripkeFrame(frame, domains)
+    return PredKripkeFrame(frame, {
+        w: frozenset(parse_set(value, lineno)) for w, (lineno, value)
+        in keyed_lines(content_lines(text), "=", lead="domain").items()})
 
 
 def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:
     """Lines ``val P @ w = {(d1),(d1,d2)}`` (0-ary: ``{()}`` or ``{}``)."""
     val = {}
-    for lineno, line in content_lines(text):
-        if not line.startswith("val "):
-            raise ValueError(f"line {lineno}: expected 'val P @ w = {{...}}'")
-        head, _, rhs = line[len("val "):].partition("=")
-        name, _, world = head.partition("@")
-        name, world = name.strip(), world.strip()
-        if not name or not world:
-            raise ValueError(f"line {lineno}: expected 'val P @ w = {{...}}'")
-        if world in val.get(name, {}):
-            raise ValueError(f"line {lineno}: duplicate val line for"
-                             f" {name!r} @ {world!r}")
-        rows = _parse_tuples(rhs.strip(), lineno)
+    for (name, world), (lineno, value) in keyed_lines(
+            content_lines(text), "@", "=", lead="val").items():
+        rows = parse_set(value, lineno)
+        if rows and not isinstance(rows[0], tuple):
+            raise ValueError(f"line {lineno}: expected tuples, found {value!r}")
         val.setdefault(name, {})[world] = frozenset(rows)
     return PredKripkeModel(pframe, val)
-
-
-def parse_constdomain(text: str) -> frozenset:
-    """A single line ``constdomain = {d1,d2}``."""
-    for lineno, line in content_lines(text):
-        if not line.startswith("constdomain"):
-            raise ValueError(f"line {lineno}: expected 'constdomain = {{...}}'")
-        _, _, rhs = line.partition("=")
-        return frozenset(parse_set(rhs, lineno))
-    raise ValueError("missing 'constdomain = {...}' line")
-
-
-def _parse_tuples(text: str, lineno: int):
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"line {lineno}: expected a {{...}} set of tuples")
-    inner = text[1:-1].strip()
-    rows = []
-    while inner:
-        if not inner.startswith("("):
-            raise ValueError(f"line {lineno}: expected '(' in tuple set")
-        close = inner.index(")")
-        body = inner[1:close].strip()
-        rows.append(tuple(p.strip() for p in body.split(",")) if body else ())
-        inner = inner[close + 1:].lstrip().lstrip(",").lstrip()
-    return rows

@@ -13,6 +13,7 @@ iff their primitive skeletons are equal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -226,31 +227,23 @@ _SYMBOLS = ["->", "=>", "~", "&", "|", "(", ")", "[", "]", ".", ","]
 _KEYWORDS = {"false", "true", "box", "dia", "forall", "exists"}
 
 
+_TOKEN = re.compile(r"\s*(?:(%s)|(\w+)|(\S))"
+                    % "|".join(re.escape(sym) for sym in _SYMBOLS))
+
+
 def _tokenize(text: str):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
+    for match in _TOKEN.finditer(text):
+        sym, word, other = match.groups()
+        if sym:
+            toks.append((sym, sym, match.start(1)))
+        elif word:
+            kind = word if word in _KEYWORDS else "ident"
+            toks.append((kind, word, match.start(2)))
         else:
-            if c.isalnum() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = word if word in _KEYWORDS else "ident"
-                toks.append((kind, word, i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("end", "", n))
+            raise ParseError(f"unexpected character {other!r}",
+                             match.start(3))
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -570,52 +563,147 @@ def horn_to_text(s: HornSentence) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Text formats shared by the file readers
+# Text formats shared by the file readers: ``#`` comments, ``[name]``
+# sections, directive lines, keyed lines ``[lead] key sep value`` and
+# ``{...}`` sets.  Each reader states only its own grammar in these terms,
+# and every error names its line in the file, also inside a section.
 
 
-def content_lines(text: str) -> Iterator[tuple]:
+class Section(list):
+    """The body of a ``[name]`` section: its content lines as
+    ``content_lines`` gives them, numbered from the top of the file.  Every
+    reader takes a ``Section`` in place of a text, and so reports file line
+    numbers."""
+
+
+def content_lines(text: str) -> list:
     """``(line number, line)`` for every line left nonblank once its ``#``
-    comment is stripped."""
+    comment is stripped; a ``Section`` already is that list."""
+    if isinstance(text, Section):
+        return text
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip() if "#" in raw else raw.strip()
         if line:
-            yield lineno, line
-
-
-def parse_set(text: str, lineno: int) -> list:
-    """Members of a ``{a, b}`` set; ``{}`` is the empty set, an empty
-    member is an error."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"line {lineno}: expected a {{...}} set, found {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    members = [part.strip() for part in inner.split(",")]
-    if "" in members:
-        raise ValueError(f"line {lineno}: empty member in {text!r}")
-    return members
+            lines.append((lineno, line))
+    return lines
 
 
 def split_sections(text: str, *required: str) -> dict:
-    """Bodies of the ``[name]`` sections of a file, by name.  Rejects a
-    duplicate section, content before the first one and a missing
+    """``Section`` bodies of the ``[name]`` sections of a file, by name.
+    Rejects a duplicate section, content before the first one and a missing
     ``required`` one."""
-    sections = {}
-    current = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            if current in sections:
-                raise ValueError(f"duplicate section [{current}]")
-            sections[current] = []
-            continue
-        if current is not None:
-            sections[current].append(raw)
-        elif stripped and not stripped.startswith("#"):
-            raise ValueError(f"content before first section: {stripped!r}")
+    lines = content_lines(text)
+    starts = [index for index, (_, line) in enumerate(lines)
+              if line[0] == "[" and line[-1] == "]"]
+    if lines and (not starts or starts[0]):
+        lineno, line = lines[0]
+        raise ValueError(f"line {lineno}: content before the first section:"
+                         f" {line!r}")
+    headers = []
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        lineno, header = lines[start]
+        headers.append((lineno, header[1:-1].strip(),
+                        Section(lines[start + 1:end])))
+    sections = _unique(headers, lambda name: f"section [{name}]")
     for name in required:
         if name not in sections:
             raise ValueError(f"missing [{name}] section")
-    return {k: "\n".join(v) for k, v in sections.items()}
+    return sections
+
+
+def _unique(entries, show) -> dict:
+    """``{key: value}`` from ``(line number, key, value)`` entries; a key
+    met before is an error that names its line and ``show(key)``."""
+    out = {}
+    for lineno, key, value in entries:
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate {show(key)}")
+        out[key] = value
+    return out
+
+
+def directives(text: str, *heads: str) -> dict:
+    """``{head: [(line number, line), ...]}``: the content lines of
+    ``text`` by their first word, which must be one of ``heads``."""
+    out = {head: [] for head in heads}
+    for lineno, line in content_lines(text):
+        head = line.split(None, 1)[0]
+        if head not in out:
+            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+        out[head].append((lineno, line))
+    return out
+
+
+def names(lines, what: str) -> list:
+    """The words after the directive word of ``(line number, line)``
+    pairs, in order; a repeated one is an error."""
+    words = [(lineno, word, None) for lineno, line in lines
+             for word in line.split()[1:]]
+    return list(_unique(words, lambda word: f"{what} {word!r}"))
+
+
+def keyed_lines(lines, *seps: str, lead: str = "") -> dict:
+    """``{key: (line number, value)}`` from ``(line number, line)`` pairs
+    of the shape ``[lead] key sep value``.  With several separators the key
+    is the tuple of the parts between them (``val P @ w = {...}`` has the
+    key ``(P, w)``); with none, ``lead value`` has the key ``lead``.  A line
+    of another shape and a repeated key are errors."""
+    entries = []
+    for lineno, line in lines:
+        word, rest = "", line
+        if lead:
+            word, _, rest = line.partition(" ")
+        parts = []
+        for sep in seps:
+            part, _, rest = rest.partition(sep)
+            parts.append(part.strip())
+        value = rest.strip()
+        if word != lead or "" in parts or not value:
+            shape = " ".join([lead, "_"] + [f"{sep} _" for sep in seps])
+            raise ValueError(f"line {lineno}: expected '{shape.strip()}',"
+                             f" found {line!r}")
+        key = tuple(parts) if len(parts) > 1 else parts[0] if parts else lead
+        entries.append((lineno, key, (lineno, value)))
+    return _unique(entries, lambda key: f"key {key!r}")
+
+
+_SET = re.compile(r"\s*\{([^{}]*)\}\s*")
+_COMMA = re.compile(r"\s*,\s*")
+_TUPLE_SEP = re.compile(r"\)\s*,\s*\(")
+
+
+def parse_set(text: str, lineno: int) -> list:
+    """Members of the ``{...}`` set ``text``: all names, or all tuples
+    ``(a, b)``, where ``()`` is the empty tuple.  ``{}`` is the empty set;
+    an empty member is an error."""
+    match = _SET.fullmatch(text)
+    if not match:
+        raise ValueError(f"line {lineno}: expected a {{...}} set, found"
+                         f" {text.strip()!r}")
+    inner = match[1].strip()
+    if inner[:1] == "(" and inner[-1:] == ")":
+        bodies = _TUPLE_SEP.split(inner[1:-1])
+        members = [tuple(_COMMA.split(body.strip())) if body.strip() else ()
+                   for body in bodies]
+        empty = any("" in row for row in members)
+    else:
+        bodies = ()
+        members = _COMMA.split(inner) if inner else []
+        empty = "" in members
+    # each tuple, and nothing else, has its own pair of parentheses
+    if inner.count("(") != len(bodies) or inner.count(")") != len(bodies):
+        raise ValueError(f"line {lineno}: expected names or tuples"
+                         f" '(a, b), (c, d)', found {{{inner}}}")
+    if empty:
+        raise ValueError(f"line {lineno}: empty member in {{{inner}}}")
+    return members
+
+
+def parse_sets(text: str, lineno: int) -> list:
+    """The members of each set of a sequence ``{a, b} {c}``."""
+    chunks = text.split("}")
+    if chunks.pop().strip() or not chunks:
+        raise ValueError(f"line {lineno}: expected {{...}} sets, found"
+                         f" {text.strip()!r}")
+    return [parse_set(chunk + "}", lineno) for chunk in chunks]

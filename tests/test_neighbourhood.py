@@ -38,6 +38,12 @@ class TestNFrame:
         nf = parse_nframe("points x y\nbase x = {x,y} {y}\nbase y = {y}\n")
         assert nf.points == frozenset({"x", "y"})
 
+    def test_parse_spaced_base_sets(self):
+        nf = parse_nframe("points x y\nbase x = { x, y }  {y}\nbase y = {y}\n")
+        assert nf == parse_nframe("points x y\nbase x = {x,y} {y}\n"
+                                  "base y = {y}\n")
+        assert nf.base["x"] == (frozenset({"x", "y"}), frozenset({"y"}))
+
 
 class TestEvaluation:
     def test_agreement_with_kripke_exhaustive_small(self):

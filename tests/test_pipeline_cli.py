@@ -83,18 +83,32 @@ depth = 3
      "alphabets must be disjoint: ['u']"),
     (BARCAN.replace("val P @ v = {(d)}",
                     "val P @ v = {(d)}\nval P @ v = {(d), (e)}"),
-     "duplicate val line for 'P' @ 'v'"),
+     "line 18: duplicate key ('P', 'v')"),
     (BARCAN.replace("[bounds]", "[bounds]\nk_max = x"),
      "invalid literal for int()"),
     (BARCAN.replace("depth = 5", "depth = 5\ndepth = 9"),
-     "bounds line 2: duplicate key 'depth'"),
-    (BARCAN.replace("root u", "root u\nroot v"), "duplicate root line"),
+     "line 24: duplicate key 'depth'"),
+    (BARCAN.replace("root u", "root u\nroot v"), "line 9: duplicate key 'root'"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d),,(e)}"),
+     "line 17: expected names or tuples"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d)(e)}"),
+     "line 17: expected names or tuples"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d}"),
+     "line 17: expected names or tuples"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d, )}"),
+     "line 17: empty member"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {d}"),
+     "line 17: expected tuples, found '{d}'"),
+    (BARCAN.replace("root u", "root"), "line 8: expected 'root _'"),
+    (BARCAN.replace("root u", "root u v"), "line 8: expected one root world"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
         "frame-violates-reflexivity", "dalphabet-overlaps-worlds",
         "repeated-val-line", "non-integer-k_max", "repeated-bounds-key",
-        "repeated-root-line"])
+        "repeated-root-line", "tuple-set-double-comma", "tuple-set-no-comma",
+        "tuple-set-unclosed", "tuple-set-empty-member", "name-set-as-tuples",
+        "root-without-world", "root-with-two-worlds"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -246,7 +260,7 @@ class TestCli:
                      "[valuation]\nval p = {v}\nval p = {}\n")
         assert main(["eval", "--model", str(m), "--at", "u",
                      "--formula", "box p"]) == 2
-        assert "duplicate val line for 'p'" in capsys.readouterr().err
+        assert "line 7: duplicate key 'p'" in capsys.readouterr().err
 
     def test_duplicate_sections_exit_2(self, tmp_path, capsys):
         m = tmp_path / "model.txt"
@@ -272,7 +286,7 @@ class TestCli:
 
 NFRAME_MORPHISM = """[source]
 points a b c
-base a = {b,c}
+base a = {b, c}
 base b = {b}
 base c = {c}
 [target]
@@ -361,14 +375,14 @@ class TestPmorphCommand:
     @pytest.mark.parametrize("kind, text, message", [
         ("nframe", NFRAME_MORPHISM.replace("base c = {c}",
                                            "base c = {c}\nbase c = {b,c}"),
-         "line 5: duplicate base line for 'c'"),
+         "line 6: duplicate key 'c'"),
         ("kk", KK_MORPHISM.replace("s -> v", "s -> v\ns -> u"),
-         "map line 3: duplicate line for 's'"),
+         "line 18: duplicate key 's'"),
         ("kk", KK_MORPHISM.replace("at s : e -> n",
                                    "at s : e -> n\nat s : e -> m"),
-         "elements line 4: duplicate line for 'e' at 's'"),
+         "line 22: duplicate key ('s', 'e')"),
         ("nk", NK_MORPHISM.replace("root u", "root u\nroot v"),
-         "line 3: duplicate root line"),
+         "line 10: duplicate key 'root'"),
     ], ids=["nframe-base-line", "map-line", "elements-line", "root-line"])
     def test_repeated_line_exits_2(self, tmp_path, capsys, kind, text,
                                    message):
@@ -376,3 +390,40 @@ class TestPmorphCommand:
         f.write_text(text)
         assert main(["pmorph", "--kind", kind, str(f)]) == 2
         assert message in capsys.readouterr().err
+
+
+def _repeated_line_cases():
+    """Each file of the repository's formats with one line repeated right
+    after itself: every line that sets a key (``root``, ``domain``, ``val``,
+    ``base``, ``at``, ``dstar`` and the lines of ``[bounds]`` and ``[map]``)
+    or names worlds or points."""
+    files = [(f"scenarios/{path.name}", path.read_text(), None)
+             for path in sorted(SCENARIOS.glob("*.scn"))]
+    files += [("nframe", NFRAME_MORPHISM, "nframe"), ("kk", KK_MORPHISM, "kk"),
+              ("nk", NK_MORPHISM, "nk")]
+    heads = {"root", "domain", "val", "base", "at", "dstar", "worlds", "points"}
+    cases = []
+    for name, text, kind in files:
+        lines = text.splitlines(keepends=True)
+        section = None
+        for i, line in enumerate(lines):
+            words = line.split("#", 1)[0].split()
+            if line.startswith("["):
+                section = line.strip()
+            elif words and (words[0] in heads
+                            or section in ("[bounds]", "[map]")):
+                repeated = "".join(lines[:i + 1] + [line] + lines[i + 1:])
+                cases.append(pytest.param(kind, repeated, i + 2,
+                                          id=f"{name}:{i + 1}"))
+    return cases
+
+
+@pytest.mark.parametrize("kind, text, lineno", _repeated_line_cases())
+def test_repeated_line_is_reported_at_its_file_line(tmp_path, capsys, kind,
+                                                    text, lineno):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    argv = ["pipeline", str(f)] if kind is None \
+        else ["pmorph", "--kind", kind, str(f)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}:")

@@ -8,7 +8,7 @@ from mlwb.predicate import (
     PredKKMorphism, PredKripkeFrame, PredKripkeModel, PredNFrame, PredNKMorphism,
     PredNModel, barcan_formula, check_kk_morphism, check_nk_morphism,
     compose_morphisms, converse_barcan_formula, eval_pred_kripke,
-    eval_pred_nbhd, parse_constdomain, parse_domains, parse_pred_valuation,
+    eval_pred_nbhd, parse_domains, parse_pred_valuation,
     pred_truth_preservation_test, pullback_kk, pullback_nk,
     random_pred_formula,
 )
@@ -220,7 +220,3 @@ class TestParsers:
             "val P @ a = {(d)}\nval P @ b = {(d),(e)}\n", pf)
         assert model.holds("P", "b", ("e",))
         assert not model.holds("P", "r", ("d",))
-
-    def test_parse_constdomain(self):
-        assert parse_constdomain("constdomain = {d, e}") == frozenset(
-            {"d", "e"})
