@@ -218,9 +218,9 @@ def criterion_6_truth_preservation() -> dict:
 def _formula_enumeration() -> list:
     p, q = Letter("p"), Letter("q")
     base = [p, q, neg(p), Implies(p, q), Implies(q, p), Falsum()]
-    depth1 = [Box(1, a) for a in base] + [neg(Box(1, a)) for a in base]
-    depth2 = [Box(1, a) for a in depth1[:6]] + \
-        [Implies(Box(1, p), Box(1, Box(1, p))), Box(1, Box(1, neg(q)))]
+    depth1 = [Box(a) for a in base] + [neg(Box(a)) for a in base]
+    depth2 = [Box(a) for a in depth1[:6]] + \
+        [Implies(Box(p), Box(Box(p))), Box(Box(neg(q)))]
     return base + depth1 + depth2
 
 
@@ -258,7 +258,7 @@ def criterion_8_density_and_image() -> dict:
     density_checked = image_checked = failures = anti_failures = 0
     for _ in range(100):
         frame = rng.choice(pool)
-        df = DenseFrame(frame, depth=5, k_max=10, j_max=3)
+        df = DenseFrame(frame, depth=5, j_max=3)
         alphas = [w for w in _small_points(df) if len(f0(w, frame)) <= 2]
         alpha = rng.choice(alphas)
         n = rng.randint(0, 3)

@@ -18,8 +18,8 @@ from .kripke import KripkeModel, KripkeMorphism, \
 from .neighbourhood import NMorphism, check_n_pmorphism, parse_nframe
 from .predicate import PredKKMorphism, PredNKMorphism, check_kk_morphism, \
     check_nk_morphism, parse_domains
-from .syntax import content_lines, keyed_lines, parse_prop, parse_set, \
-    split_sections, to_text
+from .syntax import content_lines, keyed_lines, only_line, parse_prop, \
+    parse_set, split_sections, to_text
 from .pipeline import parse_scenario, render_report, run_pipeline
 
 
@@ -124,11 +124,12 @@ def cmd_pmorph(args) -> int:
     else:
         sections = split_sections(text, "space", "dstar", "target",
                                   "target-domains", "map", "elements")
-        lines = keyed_lines(sections["dstar"], "=")
-        if list(lines) != ["dstar"]:
-            raise ValueError("expected one 'dstar = {...}' line in [dstar]")
-        lineno, value = lines["dstar"]
-        dstar = frozenset(parse_set(value, lineno))
+        message = "expected one 'dstar = {...}' line in [dstar]"
+        lineno, line = only_line(sections["dstar"], message)
+        entry = keyed_lines([(lineno, line)], "=").get("dstar")
+        if entry is None:
+            raise ValueError(f"line {lineno}: {message}")
+        dstar = frozenset(parse_set(entry[1], lineno))
         target = parse_domains(sections["target-domains"],
                                parse_frame(sections["target"]))
         m = PredNKMorphism(parse_nframe(sections["space"]), target, dstar,
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="dense_command", required=True)
     c = dsub.add_parser("counterexample",
                         help="the parity countermodel on the dense frame")
-    c.add_argument("--kmax", type=int, default=10)
+    c.add_argument("--kmax", type=int, default=10,
+                   help="witnesses for k = 0..KMAX")
     c.set_defaults(fn=cmd_dense_counterexample)
 
     p = sub.add_parser("pipeline", help="run a scenario end to end")

@@ -6,9 +6,11 @@ trailing zeros stripped (a *stop word*).  The filter base at a point is the
 antitone family U_k; since the intersection of the U_k is empty, no point has
 a minimal neighbourhood.
 
-Because the frame is infinite, evaluation is bounded and three-valued: every
-verdict says whether it is *certified* (exact, backed by tail classifiers or
-vacuity) or merely the best answer within the (k_max, j_max) budget.
+Although the frame is infinite, ``bounded_eval`` decides exactly the
+fragment it accepts: letters, falsum and implication, and boxes over bodies
+of modal depth 0 along one-letter extension steps, which tail classifiers
+decide at one neighbourhood index (see ``_eval_box``).  Any other formula,
+and a box at a frontier path of the truncated unravelling, raises.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .kripke import (
     brute_validity, grow_words, relation_compose, unravel,
 )
 from .syntax import Box, Falsum, Formula, Implies, Letter, dia, modal_depth, \
-    neg
+    neg, to_text
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +134,6 @@ class DenseFrame:
     frame: KripkeFrame
     gamma: Optional[HornTheory] = None
     depth: int = 6
-    k_max: int = 12
     j_max: int = 8
     _closed: KripkeFrame = field(init=False, repr=False, compare=False)
     _interior: frozenset = field(init=False, repr=False, compare=False)
@@ -351,7 +352,7 @@ def classify_formula(valuation: dict, a: Formula, pre: tuple, b: str) -> TailFn:
 
 
 # ---------------------------------------------------------------------------
-# bounded three-valued evaluation
+# exact evaluation of depth-one boxes
 
 
 @dataclass(frozen=True)
@@ -392,63 +393,50 @@ def _eval(model: DenseModel, alpha, a: Formula) -> EvalVerdict:
     if isinstance(a, Letter):
         return EvalVerdict(model.member(a.name, alpha), True)
     if isinstance(a, Implies):
-        left = _eval(model, alpha, a.left)
-        right = _eval(model, alpha, a.right)
-        if left.certified and left.value is False:
-            return EvalVerdict(True, True)
-        if right.certified and right.value is True:
-            return EvalVerdict(True, True)
-        if left.certified and right.certified:
-            return EvalVerdict((not left.value) or right.value, True)
-        lv = left.value if left.value is not None else True
-        rv = right.value if right.value is not None else False
-        return EvalVerdict((not lv) or rv, False)
+        left, right = _eval(model, alpha, a.left), _eval(model, alpha, a.right)
+        return EvalVerdict(not left.value or right.value, True)
     if isinstance(a, Box):
-        if a.index != 1:
-            raise EvaluationError("dense evaluation supports one modality")
         return _eval_box(model, alpha, a.body)
     raise EvaluationError(f"not a propositional formula: {a!r}")
 
 
 def _eval_box(model: DenseModel, alpha, body: Formula) -> EvalVerdict:
+    """The box holds at alpha iff some U_k(alpha) lies inside the body's
+    extension.  Decided for a body of modal depth 0 along extension steps of
+    at most one letter, at the single index k = ``stability_bound(alpha)``:
+
+    * U_k(alpha) only shrinks as k grows, so the box holds at some k iff it
+      holds at every larger one;
+    * from k = ``stability_bound(alpha)`` on, the prefix ``restrict(alpha,
+      k)`` is alpha padded with zeros, and the tail classifier of each
+      one-letter family ``pre . 0^j . b`` has no exceptional values and
+      depends only on the parity of k: its even and odd values swap from k
+      to k + 1.  ``all_true`` asks for both, so it gives the same answer
+      at every such k.
+
+    Hence the box holds at some k iff it holds at ``stability_bound(alpha)``.
+    A reflexive step (``ext == ()``) contributes alpha itself at every k."""
     df = model.dense
     exts = df.extensions(f0(alpha, df.frame))
     if not exts:
         return EvalVerdict(True, True, ("vacuous", None))
-
-    exact = (modal_depth(body) == 0
-             and all(len(ext) <= 1 for ext in exts))
-    m_stable = model.stability_bound(alpha)
-    falsifiers = {}
-    for k in range(df.k_max + 1):
-        m = max(k, st(alpha))
-        pre = restrict(alpha, m)
-        if exact:
-            fals = None
-            for ext in exts:
-                if ext == ():
-                    self_v = _eval(model, alpha, body)
-                    if self_v.value is False:
-                        fals = ("self", alpha)
-                        break
-                    continue
-                tf = classify_formula(model.valuation, body, pre, ext[0])
-                if not tf.all_true():
-                    fals = (ext[0], tf.first_false(), tf.kind())
-                    break
-            if fals is None:
-                return EvalVerdict(True, True, ("box-witness-k", k))
-            falsifiers[k] = fals
-        else:
-            members, _ = uk_members(alpha, k, df)
-            sub = [(beta, _eval(model, beta, body)) for beta in members]
-            bad = [(beta, v) for beta, v in sub if v.value is False]
-            if not bad:
-                return EvalVerdict(True, False, ("box-sampled-k", k))
-            falsifiers[k] = bad[0][0]
-    if exact and df.k_max >= m_stable + 1:
-        return EvalVerdict(False, True, ("box-falsifiers", tuple(sorted(falsifiers))))
-    return EvalVerdict(False, False, ("box-falsifiers", tuple(sorted(falsifiers))))
+    if modal_depth(body) > 0 or any(len(ext) > 1 for ext in exts):
+        raise EvaluationError(
+            f"box {to_text(body)} at {format_stopword(alpha)} is outside the"
+            " decided fragment: a body of modal depth 0 along one-letter"
+            " extension steps")
+    k = model.stability_bound(alpha)
+    pre = restrict(alpha, k)
+    for ext in exts:
+        if ext == ():
+            if not _eval(model, alpha, body).value:
+                return EvalVerdict(False, True, ("box-falsifier", "self"))
+            continue
+        tf = classify_formula(model.valuation, body, pre, ext[0])
+        if not tf.all_true():
+            return EvalVerdict(False, True, (
+                "box-falsifier", (ext[0], tf.first_false(), tf.kind())))
+    return EvalVerdict(True, True, ("box-witness-k", k))
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +453,21 @@ def next_frame(length: int) -> KripkeFrame:
 
 def counterexample_g(k_max: int = 10) -> dict:
     """Certified failure of ``dia p -> box p`` on the dense frame over the
-    next-relation chain, against its Kripke-side validity."""
+    next-relation chain, against its Kripke-side validity, with a p-true and
+    a p-false member of U_k(eps) for each k up to ``k_max``."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     frame = next_frame(k_max + 3)
-    df = DenseFrame(frame, depth=3, k_max=k_max + 2, j_max=4)
+    df = DenseFrame(frame, depth=3, j_max=4)
     parity = ParityVal("1", 0)
     model = DenseModel(df, {"p": parity})
     p = Letter("p")
     dia_p = dia(p)
-    dia_notp = neg(Box(1, p))  # dia not p, up to the double negation
+    dia_notp = neg(Box(p))  # dia not p, up to the double negation
     alpha = ()
     v_dia_p = bounded_eval(model, alpha, dia_p)
     v_dia_notp = bounded_eval(model, alpha, dia_notp)
-    v_box_p = bounded_eval(model, alpha, Box(1, p))
+    v_box_p = bounded_eval(model, alpha, Box(p))
     witnesses = {}
     for k in range(k_max + 1):
         true_word = (STOP,) * k + ("1",) if k % 2 == 0 else (STOP,) * (k + 1) + ("1",)
@@ -493,7 +482,7 @@ def counterexample_g(k_max: int = 10) -> dict:
     # dia p -> box p is a depth-one scheme: it is frame-valid exactly when
     # no world has two distinct successors, which holds per construction;
     # brute-force validity cross-checks the equivalence on a small instance
-    axiom = Implies(dia_p, Box(1, p))
+    axiom = Implies(dia_p, Box(p))
     functional = all(
         sum(1 for (u, v) in frame.relation if u == w) <= 1
         for w in frame.worlds)
@@ -543,7 +532,7 @@ def f0_image_check(alpha, k: int, df: DenseFrame) -> Verdict:
 
 
 def f0_pmorphism_check(df: DenseFrame, n_samples: int = 50,
-                       seed: int = 0, k_values=(0, 1, 2, 3)) -> dict:
+                       seed: int = 0) -> dict:
     """Sampled zig/zag of f0 against the principal bases of N(unravelling)."""
     frame = df.frame
     rng = random.Random(seed)
@@ -559,7 +548,7 @@ def f0_pmorphism_check(df: DenseFrame, n_samples: int = 50,
         rng.sample(candidates, n_samples)
     checked = 0
     for alpha in sample:
-        for k in k_values:
+        for k in (0, 1, 2, 3):
             try:
                 verdict = f0_image_check(alpha, k, df)
             except BudgetExceeded:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
 from .kripke import (
@@ -24,12 +23,11 @@ from .predicate import PredKKMorphism, PredKripkeFrame, check_kk_morphism
 
 @dataclass(frozen=True)
 class EntangleSpace:
-    """Base frame plus domain alphabet.  ``frame2`` optionally replaces the
-    S5-total frame on sigma2 for general two-frame enumeration."""
+    """Base frame plus domain alphabet, whose second frame is S5-total on
+    sigma2 with root ``sigma2[0]``."""
 
     frame: KripkeFrame
     sigma2: tuple
-    frame2: Optional[KripkeFrame] = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma2", tuple(self.sigma2))
@@ -40,13 +38,6 @@ class EntangleSpace:
         overlap = set(self.sigma2) & (set(self.frame.worlds) | {STOP})
         if overlap:
             raise ValueError(f"alphabets must be disjoint: {sorted(overlap)}")
-        if self.frame2 is not None and set(self.frame2.worlds) != set(self.sigma2):
-            raise ValueError("frame2 must live on the domain alphabet")
-
-    def root_symbol(self):
-        if self.frame2 is not None:
-            return self.frame2.root
-        return self.sigma2[0]
 
     def is_w(self, letter) -> bool:
         return letter in self.frame.worlds
@@ -64,7 +55,7 @@ def p1(space: EntangleSpace, word) -> tuple:
 
 
 def p2(space: EntangleSpace, word) -> tuple:
-    return (space.root_symbol(),) + tuple(a for a in word if space.is_d(a))
+    return (space.sigma2[0],) + tuple(a for a in word if space.is_d(a))
 
 
 def _is_path(frame: KripkeFrame, path: tuple) -> bool:
@@ -78,11 +69,7 @@ def is_entangled(space: EntangleSpace, word) -> bool:
     for a in word:
         if not (space.is_w(a) or space.is_d(a)):
             return False
-    if not _is_path(space.frame, p1(space, word)):
-        return False
-    if space.frame2 is not None and not _is_path(space.frame2, p2(space, word)):
-        return False
-    return True
+    return _is_path(space.frame, p1(space, word))
 
 
 def entangle_enumerate(space: EntangleSpace, max_len: int) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .kripke import KripkeFrame, KripkeMorphism, Verdict, check_pmorphism
 from .syntax import HAnd, HAtom, HBody, HOr, HTrue, HornSentence, \
-    content_lines, parse_horn
+    content_lines, parse_horn, read_line
 
 
 @dataclass(frozen=True)
@@ -273,4 +273,5 @@ def transitive_closure_squaring(relation: frozenset) -> frozenset:
 
 def parse_horn_theory(text: str) -> HornTheory:
     """One sentence per line; ``#`` starts a comment."""
-    return HornTheory(tuple(parse_horn(line) for _, line in content_lines(text)))
+    return HornTheory(tuple(read_line(parse_horn, lineno, line)
+                            for lineno, line in content_lines(text)))

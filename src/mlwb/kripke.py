@@ -226,7 +226,7 @@ def random_formula(rng: random.Random, letter_names: list, depth: int) -> Formul
     if rng.random() < 0.5:
         return Implies(random_formula(rng, letter_names, depth - 1),
                        random_formula(rng, letter_names, depth - 1))
-    return Box(1, random_formula(rng, letter_names, depth - 1))
+    return Box(random_formula(rng, letter_names, depth - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def check_pretransitive(frame: KripkeFrame, k: int) -> Verdict:
 
 
 def axiom_inclusion_formula(k: int) -> Formula:
-    return Implies(Box(1, Letter("p")), box_power(Letter("p"), k))
+    return Implies(Box(Letter("p")), box_power(Letter("p"), k))
 
 
 def pretransitivity_formula(k: int) -> Formula:
@@ -316,8 +316,7 @@ def unravel(frame: KripkeFrame, depth: int) -> Unravelling:
         return [(v,) for v in sorted(frame.successors(end), key=repr)]
     paths = [(frame.root,) + word for word in grow_words(steps, depth - 1)]
     path_set = frozenset(paths)
-    rel = frozenset((p, q) for p in paths for q in path_set
-                    if len(q) == len(p) + 1 and q[:-1] == p)
+    rel = frozenset((p[:-1], p) for p in paths if len(p) > 1)
     unravelled = KripkeFrame(path_set, rel, root=(frame.root,))
     interior = frozenset(p for p in paths if len(p) < depth)
     pi = KripkeMorphism(unravelled, frame, {p: p[-1] for p in paths},

@@ -34,9 +34,9 @@ from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
     parse_domains, parse_pred_valuation
-from .syntax import Atom, Box, Const, Falsum, Forall, Implies, content_lines, \
-    horn_to_text, keyed_lines, parse_pred, parse_set, split_sections, \
-    subformulas, to_text, universal_closure
+from .syntax import Atom, Box, Const, Falsum, Forall, Implies, \
+    horn_to_text, keyed_lines, only_line, parse_pred, parse_set, read_line, \
+    split_sections, subformulas, to_text, universal_closure
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     frame = parse_frame(sections["frame"])
     pframe = parse_domains(sections["domains"], frame)
     model = parse_pred_valuation(sections["valuation"], pframe)
-    formula_lines = sections["formula"]
-    if len(formula_lines) != 1:
-        raise ValueError("[formula] must contain exactly one formula")
-    formula = universal_closure(parse_pred(formula_lines[0][1]))
+    lineno, line = only_line(sections["formula"],
+                             "[formula] must contain exactly one formula")
+    formula = universal_closure(read_line(parse_pred, lineno, line))
     gamma = None
     if sections.get("horn"):
         gamma = parse_horn_theory(sections["horn"])

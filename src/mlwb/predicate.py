@@ -160,8 +160,6 @@ def _ev(model, x, a: PredFormula) -> bool:
     if isinstance(a, Implies):
         return (not _ev(model, x, a.left)) or _ev(model, x, a.right)
     if isinstance(a, Box):
-        if a.index != 1:
-            raise EvaluationError("predicate evaluation is unimodal")
         return any(all(_ev(model, y, a.body) for y in u)
                    for u in model.base[x])
     if isinstance(a, Forall):
@@ -333,7 +331,7 @@ def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
             return Implies(build(d, scope, budget - 1),
                            build(d, scope, budget - 1))
         if kind == "box":
-            return Box(1, build(d - 1, scope, budget - 1))
+            return Box(build(d - 1, scope, budget - 1))
         fresh = next((v for v in variables if v not in scope), None)
         if fresh is None:
             return build(d, scope, budget - 1)
@@ -343,8 +341,7 @@ def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
 
 
 def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
-                                 samples: int = 200, seed: int = 0,
-                                 extra_pool=()) -> dict:
+                                 samples: int = 200, seed: int = 0) -> dict:
     """Bidirectional truth preservation under the pulled-back valuation."""
     verdict = check_nk_morphism(m)
     if not verdict:
@@ -352,13 +349,11 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
     theta = pullback_nk(model, m)
     preds = _arities(model)
     rng = random.Random(seed)
-    pool = list(extra_pool)
-    while len(pool) < samples:
-        pool.append(random_pred_formula(rng, preds))
+    pool = [random_pred_formula(rng, preds) for _ in range(samples)]
     points = sorted(m.space.points, key=repr)
     checked = mismatches = 0
     failures = []
-    for a in pool[:max(samples, len(extra_pool))]:
+    for a in pool:
         x = rng.choice(points)
         left = eval_pred_nbhd(theta, x, a)
         right = eval_pred_kripke(model, m.phi0[x], a)

@@ -2,7 +2,7 @@
 
 Three object languages live here:
 
-* propositional multimodal formulas (``false``, letters, ``->``, ``box``),
+* propositional modal formulas (``false``, letters, ``->``, ``box``),
 * predicate modal formulas (atoms over variables/constants, ``forall``),
 * universal strict Horn sentences over a single binary relation ``R``.
 
@@ -49,7 +49,6 @@ class Implies:
 
 @dataclass(frozen=True)
 class Box:
-    index: int
     body: "Formula"
 
 
@@ -95,8 +94,8 @@ def disj(a: Formula, b: Formula) -> Formula:
     return Implies(neg(a), b)
 
 
-def dia(a: Formula, index: int = 1) -> Formula:
-    return neg(Box(index, neg(a)))
+def dia(a: Formula) -> Formula:
+    return neg(Box(neg(a)))
 
 
 def exists(var: str, a: Formula) -> Formula:
@@ -104,11 +103,11 @@ def exists(var: str, a: Formula) -> Formula:
 
 
 def box_power(a: Formula, k: int) -> Formula:
-    """k nested boxes around ``a`` (index 1)."""
+    """k nested boxes around ``a``."""
     if k < 0:
         raise ValueError("negative box power")
     for _ in range(k):
-        a = Box(1, a)
+        a = Box(a)
     return a
 
 
@@ -210,7 +209,7 @@ def substitute_constants(a: Formula, assignment: dict) -> Formula:
         if isinstance(f, Implies):
             return Implies(walk(f.left, active), walk(f.right, active))
         if isinstance(f, Box):
-            return Box(f.index, walk(f.body, active))
+            return Box(walk(f.body, active))
         if isinstance(f, Forall):
             if f.var in active:
                 raise ValueError(f"cannot substitute bound variable {f.var!r}")
@@ -223,7 +222,7 @@ def substitute_constants(a: Formula, assignment: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = ["->", "=>", "~", "&", "|", "(", ")", "[", "]", ".", ","]
+_SYMBOLS = ["->", "=>", "~", "&", "|", "(", ")", ".", ","]
 _KEYWORDS = {"false", "true", "box", "dia", "forall", "exists"}
 
 
@@ -248,10 +247,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, n_modalities: int, predicate: bool):
+    def __init__(self, text: str, predicate: bool):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.n_modalities = n_modalities
         self.predicate = predicate
         self.arities: dict = {}
 
@@ -291,23 +289,6 @@ class _Parser:
             left = conj(left, self.unary(bound))
         return left
 
-    def modal_index(self):
-        if self.peek()[0] == "[":
-            self.next()
-            tok = self.expect("ident")
-            if not tok[1].isdigit():
-                raise ParseError("modality index must be a number", tok[2])
-            self.expect("]")
-            index = int(tok[1])
-        else:
-            index = 1
-        if not 1 <= index <= self.n_modalities:
-            raise ParseError(
-                f"modality index {index} outside 1..{self.n_modalities}",
-                self.peek()[2],
-            )
-        return index
-
     def unary(self, bound):
         kind, _, pos = self.peek()
         if kind == "~":
@@ -315,10 +296,10 @@ class _Parser:
             return neg(self.unary(bound))
         if kind == "box":
             self.next()
-            return Box(self.modal_index(), self.unary(bound))
+            return Box(self.unary(bound))
         if kind == "dia":
             self.next()
-            return dia(self.unary(bound), self.modal_index())
+            return dia(self.unary(bound))
         if kind in ("forall", "exists"):
             if not self.predicate:
                 raise ParseError(f"{kind!r} not allowed in propositional formula", pos)
@@ -360,15 +341,15 @@ class _Parser:
         return Atom(word, args)
 
 
-def parse_prop(text: str, n_modalities: int = 1) -> Formula:
-    p = _Parser(text, n_modalities, predicate=False)
+def parse_prop(text: str) -> Formula:
+    p = _Parser(text, predicate=False)
     a = p.formula()
     p.expect("end")
     return a
 
 
-def parse_pred(text: str, n_modalities: int = 1) -> Formula:
-    p = _Parser(text, n_modalities, predicate=True)
+def parse_pred(text: str) -> Formula:
+    p = _Parser(text, predicate=True)
     a = p.formula()
     p.expect("end")
     return a
@@ -391,8 +372,7 @@ def _fmt(a: Formula, outer: int) -> str:
             inner = a.left
             if isinstance(inner, Box) and isinstance(inner.body, Implies) \
                     and inner.body.right == FALSUM:
-                idx = "" if inner.index == 1 else f"[{inner.index}]"
-                return _wrap(f"dia{idx} {_fmt(inner.body.left, _PREC_UNARY)}",
+                return _wrap(f"dia {_fmt(inner.body.left, _PREC_UNARY)}",
                              _PREC_UNARY, outer)
             if isinstance(inner, Forall) and isinstance(inner.body, Implies) \
                     and inner.body.right == FALSUM:
@@ -414,8 +394,7 @@ def _fmt(a: Formula, outer: int) -> str:
     if isinstance(a, Letter):
         return a.name
     if isinstance(a, Box):
-        idx = "" if a.index == 1 else f"[{a.index}]"
-        return _wrap(f"box{idx} {_fmt(a.body, _PREC_UNARY)}", _PREC_UNARY, outer)
+        return _wrap(f"box {_fmt(a.body, _PREC_UNARY)}", _PREC_UNARY, outer)
     if isinstance(a, Atom):
         if not a.args:
             return a.name
@@ -571,9 +550,13 @@ def horn_to_text(s: HornSentence) -> str:
 
 class Section(list):
     """The body of a ``[name]`` section: its content lines as
-    ``content_lines`` gives them, numbered from the top of the file.  Every
-    reader takes a ``Section`` in place of a text, and so reports file line
-    numbers."""
+    ``content_lines`` gives them, numbered from the top of the file, and
+    the line number ``header`` of the ``[name]`` line.  Every reader takes a
+    ``Section`` in place of a text, and so reports file line numbers."""
+
+    def __init__(self, lines, header: int):
+        super().__init__(lines)
+        self.header = header
 
 
 def content_lines(text: str) -> list:
@@ -604,7 +587,7 @@ def split_sections(text: str, *required: str) -> dict:
     for start, end in zip(starts, starts[1:] + [len(lines)]):
         lineno, header = lines[start]
         headers.append((lineno, header[1:-1].strip(),
-                        Section(lines[start + 1:end])))
+                        Section(lines[start + 1:end], lineno)))
     sections = _unique(headers, lambda name: f"section [{name}]")
     for name in required:
         if name not in sections:
@@ -621,6 +604,25 @@ def _unique(entries, show) -> dict:
             raise ValueError(f"line {lineno}: duplicate {show(key)}")
         out[key] = value
     return out
+
+
+def only_line(section: Section, message: str) -> tuple:
+    """The one content line of ``section`` as ``(line number, line)``.  A
+    second line, or none, is the error ``message`` at that line, or at the
+    section header."""
+    if len(section) != 1:
+        lineno = section[1][0] if section else section.header
+        raise ValueError(f"line {lineno}: {message}")
+    return section[0]
+
+
+def read_line(parse, lineno: int, line: str):
+    """``parse(line)`` for the content line ``lineno``; an error it raises
+    is prefixed with ``line N:`` and keeps its position in the line."""
+    try:
+        return parse(line)
+    except ValueError as e:
+        raise ValueError(f"line {lineno}: {e}") from None
 
 
 def directives(text: str, *heads: str) -> dict:

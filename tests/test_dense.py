@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from mlwb.horn import axioms_to_theory
 from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame
 from mlwb.dense import (
-    DenseFrame, DenseModel, FiniteSetVal, ParityVal, STOP, bounded_eval,
-    canonical, chain_collapse_check, counterexample_g, density_witness,
-    enumerate_canonical, f0, f0_image_check, f0_pmorphism_check,
-    format_compact, format_stopword, is_member_uk, next_frame,
-    parse_stopword, restrict, st, uk_members, validate_stopword,
+    DenseFrame, DenseModel, EvalVerdict, FiniteSetVal, ParityVal, STOP,
+    bounded_eval, canonical, chain_collapse_check, classify_formula,
+    counterexample_g, density_witness, enumerate_canonical, f0,
+    f0_image_check, f0_pmorphism_check, format_compact, format_stopword,
+    is_member_uk, next_frame, parse_stopword, restrict, st, uk_members,
+    validate_stopword,
 )
-from mlwb.syntax import Box, Falsum, Implies, Letter
+from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg
 
 
 def two_chain():
@@ -63,7 +66,7 @@ class TestWords:
 
 class TestNeighbourhoods:
     def setup_method(self):
-        self.df = DenseFrame(two_chain(), depth=4, k_max=6, j_max=3)
+        self.df = DenseFrame(two_chain(), depth=4, j_max=3)
 
     def test_membership_requires_shared_prefix(self):
         alpha = (STOP, "a")
@@ -111,6 +114,85 @@ class TestNeighbourhoods:
         assert ("a", "b") in exts  # transitive shortcut
 
 
+def reference_eval(model: DenseModel, alpha, a, k_max: int) -> EvalVerdict:
+    """Reference: the k-loop evaluator the exact box replaced, on the
+    fragment the exact box decides.  A box tries k = 0..k_max and is
+    certified true at the first k whose one-letter families are all true;
+    it is certified false only when k_max reaches past
+    stability_bound(alpha) + 1.  An implication is certified when a
+    certified side decides it."""
+    alpha = canonical(alpha)
+    if isinstance(a, Falsum):
+        return EvalVerdict(False, True)
+    if isinstance(a, Letter):
+        return EvalVerdict(model.member(a.name, alpha), True)
+    if isinstance(a, Implies):
+        left = reference_eval(model, alpha, a.left, k_max)
+        right = reference_eval(model, alpha, a.right, k_max)
+        if left.certified and not left.value \
+                or right.certified and right.value:
+            return EvalVerdict(True, True)
+        return EvalVerdict(not left.value or right.value,
+                           left.certified and right.certified)
+    df = model.dense
+    exts = df.extensions(f0(alpha, df.frame))
+    if not exts:
+        return EvalVerdict(True, True)
+    assert modal_depth(a.body) == 0 and all(len(ext) <= 1 for ext in exts)
+    for k in range(k_max + 1):
+        pre = restrict(alpha, max(k, st(alpha)))
+        if all(reference_eval(model, alpha, a.body, k_max).value
+               if ext == () else
+               classify_formula(model.valuation, a.body, pre,
+                                ext[0]).all_true()
+               for ext in exts):
+            return EvalVerdict(True, True)
+    return EvalVerdict(False, k_max >= model.stability_bound(alpha) + 1)
+
+
+def random_dense_frame(rng: random.Random, kind: str) -> DenseFrame:
+    """A rooted frame of 2-4 worlds (a tree, a DAG, a frame with a loop or
+    cycle, or a tree with the reflexive Gamma) as a dense frame of depth 4,
+    so that words of at most two letters are interior points."""
+    n = rng.randint(2, 4)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    if kind in ("dag", "loop"):
+        edges |= {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.3}
+    if kind == "loop":
+        j = rng.randrange(1, n)
+        edges.add((j, rng.randrange(1, j + 1)))
+    names = [f"w{i}" for i in range(n)]
+    frame = KripkeFrame.make(names, [(names[i], names[j]) for i, j in edges],
+                             root="w0")
+    gamma = axioms_to_theory([0]) if kind == "reflexive" else None
+    return DenseFrame(frame, gamma=gamma, depth=4)
+
+
+def random_val(rng: random.Random, frame: KripkeFrame):
+    if rng.random() < 0.5:
+        return ParityVal(rng.choice(sorted(frame.worlds)), rng.randint(0, 1))
+    words = enumerate_canonical(frame, 4)
+    return FiniteSetVal(frozenset(w for w in words if rng.random() < 0.4))
+
+
+def random_depth_one(rng: random.Random):
+    """A formula whose boxes have bodies of modal depth 0."""
+    def body(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([Letter("p"), Letter("q"), Falsum()])
+        return Implies(body(depth - 1), body(depth - 1))
+
+    def modal(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            return rng.choice([Box, dia])(body(2))
+        if roll < 0.5:
+            return neg(modal(depth - 1))
+        return Implies(modal(depth - 1), rng.choice([modal, body])(depth - 1))
+    return modal(2)
+
+
 class TestEvaluation:
     def test_letter_and_falsum_certified(self):
         df = DenseFrame(two_chain(), depth=4)
@@ -125,7 +207,7 @@ class TestEvaluation:
     def test_box_vacuous_at_endpoint(self):
         df = DenseFrame(two_chain(), depth=4)
         model = DenseModel(df, {"p": FiniteSetVal(frozenset())})
-        v = bounded_eval(model, ("a", "b"), Box(1, Letter("p")))
+        v = bounded_eval(model, ("a", "b"), Box(Letter("p")))
         assert (v.value, v.certified) == (True, True)
 
     def test_box_false_certified_on_parity(self):
@@ -134,20 +216,52 @@ class TestEvaluation:
         assert rep["box_p"].certified and rep["box_p"].value is False
         assert rep["dia_p"].certified and rep["dia_p"].value is True
 
-    def test_certified_verdicts_stable_under_doubled_bounds(self):
-        frame = two_chain()
-        formulas = [Box(1, Letter("p")),
-                    Implies(Box(1, Letter("p")), Letter("p")),
-                    Box(1, Implies(Letter("p"), Falsum()))]
-        val = {"p": ParityVal("b", 0)}
-        small = DenseModel(DenseFrame(frame, depth=4, k_max=8, j_max=4), val)
-        big = DenseModel(DenseFrame(frame, depth=4, k_max=16, j_max=8), val)
-        for a in formulas:
-            for alpha in [(), ("a",), (STOP, "a")]:
-                v1 = bounded_eval(small, alpha, a)
-                v2 = bounded_eval(big, alpha, a)
-                if v1.certified:
-                    assert v2.value == v1.value
+    def test_agrees_with_k_loop_reference(self):
+        """Every verdict of the exact box is certified by the k-loop
+        reference, with the same value, on seeded trees, DAGs, frames with
+        loops and reflexive-Gamma frames."""
+        cases = [(DenseModel(DenseFrame(two_chain(), depth=4, j_max=4),
+                             {"p": ParityVal("b", 0)}),
+                  [(), ("a",), (STOP, "a")],
+                  [Box(Letter("p")), Implies(Box(Letter("p")), Letter("p")),
+                   Box(Implies(Letter("p"), Falsum()))])]
+        rng = random.Random("exact-box")
+        for kind in ("tree", "dag", "loop", "reflexive"):
+            for _ in range(6):
+                df = random_dense_frame(rng, kind)
+                model = DenseModel(df, {name: random_val(rng, df.frame)
+                                        for name in ("p", "q")})
+                points = [w for w in enumerate_canonical(df.frame, 3)
+                          if f0(w, df.frame) in df.interior_paths()]
+                formulas = [random_depth_one(rng) for _ in range(8)]
+                cases.append((model, points, formulas))
+        values = []
+        for model, points, formulas in cases:
+            for alpha in points:
+                for a in formulas:
+                    got = bounded_eval(model, alpha, a)
+                    want = reference_eval(model, alpha, a, k_max=12)
+                    assert got.certified and want.certified, (alpha, a)
+                    assert got.value == want.value, (alpha, a)
+                    values.append(got.value)
+        assert len(values) > 1000 and set(values) == {True, False}
+
+    def test_nested_box_raises(self):
+        df = DenseFrame(two_chain(), depth=4)
+        model = DenseModel(df, {"p": ParityVal("b", 0)})
+        with pytest.raises(EvaluationError, match="decided fragment"):
+            bounded_eval(model, (), Box(Box(Letter("p"))))
+
+    def test_box_over_multi_letter_extension_raises(self):
+        # under R^2 <= R the closed unravelling steps from r to r.a.b
+        frame = KripkeFrame.make(["r", "a", "b"],
+                                 [("r", "a"), ("a", "b"), ("r", "b")],
+                                 root="r")
+        df = DenseFrame(frame, gamma=axioms_to_theory([2]), depth=4)
+        assert ("a", "b") in df.extensions(("r",))
+        model = DenseModel(df, {"p": ParityVal("b", 0)})
+        with pytest.raises(EvaluationError, match="decided fragment"):
+            bounded_eval(model, (), Box(Letter("p")))
 
     def test_invalid_point_rejected(self):
         df = DenseFrame(two_chain(), depth=4)

@@ -135,8 +135,8 @@ class TestMorphisms:
         target = KripkeFrame(frozenset("x"), frozenset({("x", "x")}), "x")
         f = KripkeMorphism(source, target, {"a": "x", "b": "x"})
         p = Letter("p")
-        formulas = [p, neg(p), Box(1, p), Box(1, Box(1, p)),
-                    Implies(Box(1, p), p)]
+        formulas = [p, neg(p), Box(p), Box(Box(p)),
+                    Implies(Box(p), p)]
         for bits in range(2):
             val = {"p": frozenset({"x"}) if bits else frozenset()}
             src_model = KripkeModel(source, pullback_valuation(f, val))

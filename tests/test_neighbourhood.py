@@ -51,8 +51,8 @@ class TestEvaluation:
                   KripkeFrame(frozenset("ab"),
                               frozenset({("a", "b"), ("b", "a")}), "a")]
         p = Letter("p")
-        formulas = [p, neg(p), Box(1, p), Box(1, Box(1, p)),
-                    Implies(Box(1, p), p), Box(1, Falsum())]
+        formulas = [p, neg(p), Box(p), Box(Box(p)),
+                    Implies(Box(p), p), Box(Falsum())]
         for frame in frames:
             worlds = sorted(frame.worlds)
             nf = nf_from_kripke(frame)
@@ -71,8 +71,8 @@ class TestEvaluation:
                      "z": (frozenset({"z"}),)})
         model = NModel(nf, {"p": frozenset({"y"})})
         # box p holds at x through the smaller member {y}
-        assert eval_nbhd(model, "x", Box(1, Letter("p")))
-        assert not eval_nbhd(model, "y", Box(1, Letter("p")))
+        assert eval_nbhd(model, "x", Box(Letter("p")))
+        assert not eval_nbhd(model, "y", Box(Letter("p")))
 
 
 class TestMorphisms:

@@ -101,6 +101,15 @@ depth = 3
      "line 17: expected tuples, found '{d}'"),
     (BARCAN.replace("root u", "root"), "line 8: expected 'root _'"),
     (BARCAN.replace("root u", "root u v"), "line 8: expected one root world"),
+    (BARCAN + "[horn]\nx R y & y R z\n",
+     "line 28: missing '=>' in Horn sentence (at position 13)"),
+    (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)",
+                    "forall x. box P(x) ->"),
+     "line 20: unexpected token '' (at position 21)"),
+    (BARCAN.replace("[formula]", "[formula]\nfalse"),
+     "line 21: [formula] must contain exactly one formula"),
+    (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)", ""),
+     "line 19: [formula] must contain exactly one formula"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
@@ -108,7 +117,8 @@ depth = 3
         "repeated-val-line", "non-integer-k_max", "repeated-bounds-key",
         "repeated-root-line", "tuple-set-double-comma", "tuple-set-no-comma",
         "tuple-set-unclosed", "tuple-set-empty-member", "name-set-as-tuples",
-        "root-without-world", "root-with-two-worlds"])
+        "root-without-world", "root-with-two-worlds", "horn-without-arrow",
+        "formula-cut-short", "two-formula-lines", "empty-formula-section"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -383,7 +393,12 @@ class TestPmorphCommand:
          "line 22: duplicate key ('s', 'e')"),
         ("nk", NK_MORPHISM.replace("root u", "root u\nroot v"),
          "line 10: duplicate key 'root'"),
-    ], ids=["nframe-base-line", "map-line", "elements-line", "root-line"])
+        ("nk", NK_MORPHISM.replace("dstar = {d, e}", "dstar = {d, e}\nx = {d}"),
+         "line 7: expected one 'dstar = {...}' line in [dstar]"),
+        ("nk", NK_MORPHISM.replace("dstar = {d, e}", "star = {d, e}"),
+         "line 6: expected one 'dstar = {...}' line in [dstar]"),
+    ], ids=["nframe-base-line", "map-line", "elements-line", "root-line",
+            "extra-dstar-line", "dstar-line-with-another-key"])
     def test_repeated_line_exits_2(self, tmp_path, capsys, kind, text,
                                    message):
         f = tmp_path / "morphism.txt"

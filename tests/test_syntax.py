@@ -17,14 +17,14 @@ def _prop_formulas(max_depth=4):
         leaf,
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(lambda t: Implies(*t)),
-            sub.map(lambda a: Box(1, a))),
+            sub.map(lambda a: Box(a))),
         max_leaves=12)
 
 
 class TestPropositional:
     def test_parse_basics(self):
         a = parse_prop("box p -> box box p")
-        assert a == Implies(Box(1, Letter("p")), Box(1, Box(1, Letter("p"))))
+        assert a == Implies(Box(Letter("p")), Box(Box(Letter("p"))))
 
     def test_precedence_right_assoc(self):
         assert parse_prop("p -> q -> r") == \
@@ -56,6 +56,11 @@ class TestPropositional:
     def test_parse_error_has_position(self):
         with pytest.raises(ParseError):
             parse_prop("box -> p")
+
+    @pytest.mark.parametrize("text", ["box[1] p", "dia[1] p"])
+    def test_no_modality_index(self, text):
+        with pytest.raises(ParseError, match="unexpected character '\\['"):
+            parse_prop(text)
 
 
 class TestPredicate:
