@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 when a check finds a refutation or violation
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .dense import counterexample_g
@@ -161,10 +160,8 @@ def cmd_dense_counterexample(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    scenario = parse_scenario(_read(args.scenario), name=args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    report = run_pipeline(scenario)
+    report = run_pipeline(parse_scenario(_read(args.scenario),
+                                         name=args.scenario))
     print(render_report(report), end="")
     return 0 if report.ok else 1
 
@@ -225,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run a scenario end to end")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

@@ -287,31 +287,20 @@ def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     return grow_words(lambda word: steps, max_sigma)
 
 
-def class_table(space: EntangleSpace, alpha, max_sigma: int) -> dict:
-    """Class xi(alpha, gamma) -> the first word gamma of the family that a
-    ``forall`` at alpha ranges over: ``enumerate_dstar`` with zero runs
-    capped at st(alpha), then the overflow words (max_sigma + 1 copies of
-    the first domain letter after at most st(alpha) zeros), which stand for
-    the classes beyond the truncated domains.  The keys, in the order the
-    family first hits them, include every class that a word with at most
-    max_sigma letters hits at alpha (see ``enumerate_dstar``)."""
-    gap_max = st(alpha)
-    overflow = (space.sigma2[0],) * (max_sigma + 1)
-    family = enumerate_dstar(space.sigma2, max_sigma, gap_max) \
-        + [(STOP,) * g + overflow for g in range(gap_max + 1)]
+def class_table(space: EntangleSpace, alpha, family) -> dict:
+    """Class xi(alpha, gamma) -> the first word gamma of ``family`` in that
+    class, in the order the family first hits the classes."""
     table = {}
     for gamma in family:
         table.setdefault(xi(space, alpha, gamma), gamma)
     return table
 
 
-def xi_surjectivity_check(space: EntangleSpace, alpha, max_sigma: int) -> dict:
-    """Every truncated class over f0(alpha) is hit by xi(alpha, .) on the
-    family that a ``forall`` at alpha ranges over (``class_table``), so the
-    check covers exactly the words the dense evaluator quantifies over."""
-    path = f0(alpha, space.frame)
-    table = class_table(space, alpha, max_sigma)
-    classes = sorted(dsharp(space, path, max_sigma))
+def xi_surjectivity_check(space: EntangleSpace, alpha, table: dict,
+                          max_sigma: int) -> dict:
+    """Every truncated class over f0(alpha) is a key of ``table``, the class
+    table that a ``forall`` at alpha ranges over."""
+    classes = sorted(dsharp(space, f0(alpha, space.frame), max_sigma))
     missed = [cls for cls in classes if cls not in table]
     return {"classes": len(classes), "missed": missed, "ok": not missed}
 

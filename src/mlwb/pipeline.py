@@ -2,9 +2,10 @@
 countermodel to a certified refutation on the constant-domain dense side.
 
 Stages: validate the scenario, build the (Gamma-closed) truncated
-unravelling with its D-sharp domains, construct psi, verify the (f0, xi)
-morphism, compose, pull the valuation back, and re-evaluate the target
-formula at the all-stops point of the dense frame.
+unravelling with its D-sharp domains, construct psi, pull the valuation
+back along the composed morphism and evaluate the target formula at the
+all-stops point of the dense frame, then check the (f0, xi) morphism and
+the composition at the points that evaluation visited.
 
 Dense-side predicate evaluation works directly on pseudo-infinite paths and
 is exact.  The domain maps are local: past the stopping length of every
@@ -13,23 +14,29 @@ not change the image of any constant, so the box quantifier evaluates each
 family once, unpadded (see ``DenseEvaluator``), and the universal quantifier
 runs over a profile-complete finite family of constant-domain stop words,
 one representative per class at the binding point (plus overflow words for
-the classes beyond the truncated domains; see ``entangle.class_table``,
-which the f0-xi-morphism stage checks against the D-sharp classes).  A
-verdict is uncertified for one reason only: a box reached a frontier path
-of the truncated unravelling, and the verdict names that path.
+the classes beyond the truncated domains; see ``ClassTables``).  A verdict
+is uncertified for one reason only: a box reached a frontier path of the
+truncated unravelling, and the verdict names that path.
+
+Certification rests on the checks at the points the evaluator recorded,
+which are the obligations of the truth-preservation proof where the verdict
+used them: at each ``forall`` point the class table covers the D-sharp
+classes and eta maps its words onto the local domain; at each box point the
+extensions used are exactly the closed successors of the point's path; at
+each atom eta gives the word the element it gives at the variable's binding
+point.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dense import DenseFrame, STOP, EvalVerdict, canonical, \
-    enumerate_canonical, f0, restrict, st, uk_members
+from .dense import DenseFrame, STOP, EvalVerdict, canonical, f0, \
+    restrict, st
 from .entangle import EntangleSpace, build_psi, class_table, \
-    enumerate_dstar, xi, xi_locality_check, xi_surjectivity_check
+    enumerate_dstar, xi, xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, parse_frame
 from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
@@ -52,10 +59,8 @@ class Scenario:
     formula: object
     gamma: Optional[HornTheory]
     depth: int = 5
-    j_max: int = 4
     max_sigma: int = 2
     sigma2: tuple = ("1", "2")
-    seed: int = 0
     space: EntangleSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,7 +91,6 @@ class Stage:
 @dataclass
 class PipelineReport:
     scenario: str
-    seed: int
     stages: list = field(default_factory=list)
     dense_value: Optional[bool] = None
     dense_certified: bool = False
@@ -123,7 +127,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ValueError(f"line {lineno}: {e}") from None
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    bounds.pop("k_max", None)  # accepted for older files; nothing reads it
+    for key in ("k_max", "j_max", "seed"):
+        bounds.pop(key, None)  # accepted for older files; nothing reads them
     return Scenario(name, pframe, model, formula, gamma, **bounds)
 
 
@@ -140,7 +145,7 @@ def _check_bounds(s: Scenario) -> None:
     if reached != frame.worlds:
         raise ValueError("the frame must be rooted: every world reachable"
                          " from the root")
-    least = {"depth": eccentricity + 1, "j_max": 0, "max_sigma": 1}
+    least = {"depth": eccentricity + 1, "max_sigma": 1}
     for key, value in least.items():
         if getattr(s, key) < value:
             raise ValueError(f"{key} = {getattr(s, key)} is below its minimum"
@@ -152,8 +157,7 @@ def _check_bounds(s: Scenario) -> None:
 
 
 def run_pipeline(s: Scenario) -> PipelineReport:
-    report = PipelineReport(scenario=s.name, seed=s.seed)
-    rng = random.Random(s.seed)
+    report = PipelineReport(scenario=s.name)
 
     def stage(name, fn):
         t0 = time.perf_counter()
@@ -176,7 +180,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         return {"formula": to_text(s.formula), "kripke_root_value": root_value}
 
     def build_dense():
-        df = DenseFrame(frame, gamma=s.gamma, depth=s.depth, j_max=s.j_max)
+        df = DenseFrame(frame, gamma=s.gamma, depth=s.depth)
         ctx["df"] = df
         closed = df.closed_unravelling()
         tree_edges = sum(1 for p, q in closed.relation
@@ -191,62 +195,12 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         return {"source_paths": len(psi.source.frame.worlds),
                 "classes_at_root": len(psi.source.domain((frame.root,)))}
 
-    def f0_xi_stage():
-        from .dense import f0_pmorphism_check
-        df, space = ctx["df"], s.space
-        rep = f0_pmorphism_check(df, n_samples=20, seed=s.seed)
-        if not rep.pop("ok"):
-            return {"ok": False, **rep}
-        alphas = _sample_points(df, paths, rng, 6)
-        surj_checked = loc_checked = 0
-        for alpha in alphas:
-            out = xi_surjectivity_check(space, alpha, s.max_sigma)
-            if not out["ok"]:
-                return {"ok": False, "stage": "xi-surjectivity",
-                        "alpha": alpha, "missed": out["missed"][:3]}
-            surj_checked += out["classes"]
-            for gamma in [(), (s.sigma2[0],), (STOP, s.sigma2[-1])]:
-                loc = xi_locality_check(space, df, alpha, gamma)
-                if not loc["ok"]:
-                    return {"ok": False, "stage": "xi-locality",
-                            "alpha": alpha, "gamma": gamma,
-                            "mismatches": loc["mismatches"][:3]}
-                loc_checked += loc["members"]
-        return {"f0_zigzag": rep, "xi_classes_checked": surj_checked,
-                "xi_locality_members": loc_checked}
-
-    def composition_stage():
-        df, space, psi = ctx["df"], s.space, ctx["psi"]
-        eta = make_eta(space, psi, s.pframe, paths)
-        ctx["eta"] = eta
-        surj_fail = loc_fail = None
-        words_checked = 0
-        loc_gammas = [(), (s.sigma2[0],), (STOP, s.sigma2[-1]),
-                      (s.sigma2[0], STOP, STOP, s.sigma2[-1])]
-        for alpha in _sample_points(df, paths, rng, 6):
-            want = set(s.pframe.domain(paths[alpha][-1]))
-            dstar = enumerate_dstar(s.sigma2, s.max_sigma, st(alpha))
-            words_checked += len(dstar)
-            got = {eta(alpha, g) for g in dstar}
-            if got != want:
-                surj_fail = (alpha, sorted(want - got))
-                break
-            for gamma in loc_gammas:
-                m = st(gamma) + st(alpha)
-                members, _ = uk_members(alpha, m, df)
-                for beta in members:
-                    if eta(beta, gamma) != eta(alpha, gamma):
-                        loc_fail = (alpha, beta, gamma)
-                        break
-        return {"ok": surj_fail is None and loc_fail is None,
-                "eta_surjectivity_failure": surj_fail,
-                "eta_locality_failure": loc_fail,
-                "dstar_size": words_checked}
-
     def evaluation_stage():
-        ev = DenseEvaluator(ctx["df"], s.space, ctx["eta"], s.model,
-                            s.max_sigma, paths)
+        eta = make_eta(s.space, ctx["psi"], s.pframe, paths)
+        ev = DenseEvaluator(ctx["df"], s.space, eta, s.model, s.max_sigma,
+                            paths)
         verdict = ev.eval((), s.formula, {})
+        ctx["ev"] = ev
         report.dense_value = verdict.value
         report.dense_certified = verdict.certified
         matches = verdict.certified and verdict.value == report.kripke_value
@@ -257,31 +211,59 @@ def run_pipeline(s: Scenario) -> PipelineReport:
             detail["reason"], detail["frontier"] = verdict.witness
         return detail
 
+    def f0_xi_stage():
+        ev = ctx["ev"]
+        classes = 0
+        for alpha, table in ev.tables.items():
+            out = xi_surjectivity_check(s.space, alpha, table, s.max_sigma)
+            if not out["ok"]:
+                return {"ok": False, "stage": "xi-surjectivity",
+                        "alpha": alpha, "missed": out["missed"][:3]}
+            classes += out["classes"]
+        # read off the closed relation, not through DenseFrame.extensions
+        closed = ctx["df"].closed_unravelling()
+        for alpha, exts in ev.box_points.items():
+            path = paths[alpha]
+            used = {path + ext for ext in exts}
+            successors = set(closed.successors(path))
+            if used != successors:
+                return {"ok": False, "stage": "box-extensions",
+                        "alpha": alpha, "missed": sorted(successors - used),
+                        "outside": sorted(used - successors)}
+        return {"forall_points": len(ev.tables),
+                "xi_classes_checked": classes,
+                "box_points": len(ev.box_points)}
+
+    def composition_stage():
+        ev = ctx["ev"]
+        surj_fail = loc_fail = None
+        words = 0
+        for alpha, table in ev.tables.items():
+            words += len(table)
+            want = set(s.pframe.domain(paths[alpha][-1]))
+            got = {ev.eta(alpha, gamma) for gamma in table.values()}
+            if got != want:
+                surj_fail = (alpha, sorted(want - got))
+                break
+        for bound, beta, gamma in ev.atom_sites:
+            if ev.eta(beta, gamma) != ev.eta(bound, gamma):
+                loc_fail = (bound, beta, gamma)
+                break
+        return {"ok": surj_fail is None and loc_fail is None,
+                "eta_surjectivity_failure": surj_fail,
+                "eta_locality_failure": loc_fail,
+                "dstar_size": words, "atom_sites": len(ev.atom_sites)}
+
     ok = stage("scenario-validation", validate)
     ok = ok and stage("unravelling-and-closure", build_dense)
     ok = ok and stage("psi-morphism", psi_stage)
-    ok = ok and stage("f0-xi-morphism", f0_xi_stage)
-    ok = ok and stage("composition", composition_stage)
     ok = ok and stage("pullback-evaluation", evaluation_stage)
+    if "ev" in ctx:  # the checks read the points the evaluation visited
+        checked = stage("f0-xi-morphism", f0_xi_stage) \
+            and stage("composition", composition_stage)
+        ok = ok and checked
     report.ok = ok
     return report
-
-
-def _sample_points(df: DenseFrame, paths: PointPaths, rng: random.Random,
-                   count: int) -> list:
-    """Up to ``count`` interior points whose paths leave room below the
-    frontier, the all-stops point first; at depth 2 that is the all-stops
-    point alone, over the interior root path."""
-    safe_len = max(1, df.depth - 3)
-    candidates = [w for w in enumerate_canonical(df.frame, safe_len)
-                  if paths[w] in df.interior_paths()
-                  and len(paths[w]) <= max(1, df.depth - 2)]
-    if len(candidates) <= count:
-        return candidates
-    picked = [()] if () in candidates else []
-    pool = [c for c in candidates if c not in picked]
-    picked.extend(rng.sample(pool, count - len(picked)))
-    return picked
 
 
 class PointPaths(dict):
@@ -297,6 +279,31 @@ class PointPaths(dict):
     def __missing__(self, alpha):
         path = self[alpha] = f0(alpha, self.frame)
         return path
+
+
+class ClassTables(dict):
+    """Point -> the class table (``entangle.class_table``) of the family a
+    ``forall`` at the point ranges over, built once per point and scenario,
+    so that the evaluator and the checks read the same table.  The family
+    is ``enumerate_dstar`` with zero runs capped at st(alpha), which hits
+    every class that a word with at most max_sigma letters hits at alpha,
+    then the overflow words (max_sigma + 1 copies of the first domain letter
+    after at most st(alpha) zeros), which stand for the classes beyond the
+    truncated domains."""
+
+    def __init__(self, space: EntangleSpace, max_sigma: int):
+        super().__init__()
+        self.space = space
+        self.max_sigma = max_sigma
+
+    def __missing__(self, alpha):
+        gap_max = st(alpha)
+        sigma2 = self.space.sigma2
+        overflow = (sigma2[0],) * (self.max_sigma + 1)
+        family = enumerate_dstar(sigma2, self.max_sigma, gap_max) \
+            + [(STOP,) * g + overflow for g in range(gap_max + 1)]
+        table = self[alpha] = class_table(self.space, alpha, family)
+        return table
 
 
 def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame,
@@ -328,9 +335,18 @@ def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame,
 
 class DenseEvaluator:
     """Exact predicate evaluation at points of the dense frame; env maps
-    variables to constant-domain stop words.  ``eval`` returns an
-    ``EvalVerdict``; an uncertified one carries ``("frontier", path)``, the
-    f0 path whose extensions lie beyond the truncated unravelling.
+    each variable to its constant-domain stop word and the point that bound
+    it.  ``eval`` returns an ``EvalVerdict``; an uncertified one carries
+    ``("frontier", path)``, the f0 path whose extensions lie beyond the
+    truncated unravelling.
+
+    The evaluator records where it looks: its ``tables`` hold one class
+    table per ``forall`` point, ``box_points`` the extensions each box read
+    at an interior point, and ``atom_sites`` each (binding point, atom
+    point, word) of a variable at an atom.  The lemma and corollary below
+    make a verdict exact given the morphism conditions at those points, and
+    the pipeline's f0-xi-morphism and composition stages check exactly
+    those conditions there; certification rests on those checks.
 
     Lemma (one padding per family).  Let m = max(st(alpha), st(gamma) for
     gamma in env) and pre = restrict(alpha, m).  For an extension ext = c1
@@ -361,8 +377,8 @@ class DenseEvaluator:
     witness) therefore depends on gamma only through xi(alpha, gamma), and
     the ``forall`` family only has to hit every class at alpha, which
     ``entangle.enumerate_dstar`` does at gap_max = st(alpha).  The body is
-    evaluated once per entry of ``entangle.class_table``: once per class, at
-    its first word in the family.
+    evaluated once per entry of the point's class table (``ClassTables``):
+    once per class, at its first word in the family.
 
     ``paths`` maps each point to its f0 path; shared with ``make_eta``, it
     validates each point of the scenario once."""
@@ -373,8 +389,10 @@ class DenseEvaluator:
         self.space = space
         self.eta = eta
         self.model = model
-        self.max_sigma = max_sigma
         self.paths = paths
+        self.tables = ClassTables(space, max_sigma)
+        self.box_points = {}   # point -> extensions its box read
+        self.atom_sites = {}   # (binding point, atom point, word) -> None
 
     def eval(self, alpha, a, env: dict) -> EvalVerdict:
         if isinstance(a, Falsum):
@@ -385,7 +403,9 @@ class DenseEvaluator:
                 if isinstance(term, Const):
                     raise EvaluationError(
                         "scenario formulas must be constant-free")
-                args.append(self.eta(alpha, env[term.name]))
+                gamma, bound = env[term.name]
+                self.atom_sites[(bound, alpha, gamma)] = None
+                args.append(self.eta(alpha, gamma))
             world = self.paths[alpha][-1]
             return EvalVerdict(self.model.holds(a.name, world, tuple(args)),
                                True)
@@ -405,9 +425,9 @@ class DenseEvaluator:
         raise EvaluationError(f"unsupported formula node {a!r}")
 
     def _eval_forall(self, alpha, a, env) -> EvalVerdict:
-        table = class_table(self.space, alpha, self.max_sigma)
-        return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
-                         for gamma in table.values())
+        return self._all(
+            self.eval(alpha, a.body, {**env, a.var: (gamma, alpha)})
+            for gamma in self.tables[alpha].values())
 
     def _eval_box(self, alpha, a, env) -> EvalVerdict:
         path = self.paths[alpha]
@@ -415,7 +435,8 @@ class DenseEvaluator:
             exts = self.df.extensions(path)
         except BudgetExceeded:
             return EvalVerdict(True, False, ("frontier", path))
-        m = max([st(alpha)] + [st(g) for g in env.values()])
+        self.box_points[alpha] = exts
+        m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
         pre = restrict(alpha, m)
         betas = []
         for ext in sorted(exts):
@@ -444,8 +465,7 @@ class DenseEvaluator:
 
 
 def render_report(report: PipelineReport) -> str:
-    lines = [f"pipeline report: {report.scenario}",
-             f"seed: {report.seed}"]
+    lines = [f"pipeline report: {report.scenario}"]
     for stg in report.stages:
         lines.append(f"stage {stg.name}: {'ok' if stg.ok else 'FAILED'}")
         for key in sorted(stg.detail):

@@ -8,7 +8,7 @@ from mlwb.dense import (
     DenseFrame, DenseModel, EvalVerdict, FiniteSetVal, ParityVal, STOP,
     bounded_eval, canonical, chain_collapse_check, classify_formula,
     counterexample_g, density_witness, enumerate_canonical, f0,
-    f0_image_check, f0_pmorphism_check, format_compact, format_stopword,
+    f0_image_check, format_compact, format_stopword,
     is_member_uk, next_frame, parse_stopword, restrict, st, uk_members,
     validate_stopword,
 )
@@ -18,6 +18,13 @@ from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg
 def two_chain():
     return KripkeFrame.make(["r", "a", "b"], [("r", "a"), ("a", "b")],
                             root="r")
+
+
+# the three-world frame of acceptance criterion 8 where r and a both see
+# two worlds
+THREE_WORLDS = KripkeFrame.make(
+    ["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "b"), ("b", "a")],
+    root="r")
 
 
 class TestWords:
@@ -275,10 +282,42 @@ class TestMorphismChecks:
         df = DenseFrame(two_chain(), depth=4)
         assert f0_image_check(("a",), 1, df)
 
-    def test_f0_pmorphism_sampled(self):
-        df = DenseFrame(two_chain(), depth=4)
-        rep = f0_pmorphism_check(df, n_samples=40, seed=5)
-        assert rep["ok"], rep
+    @pytest.mark.parametrize("frame, gamma, depth", [
+        (two_chain(), None, 4),
+        (THREE_WORLDS, None, 5),
+        (KripkeFrame.make(["r", "a", "b"], [("r", "a"), ("a", "b"),
+                                            ("r", "b")], root="r"),
+         axioms_to_theory([2]), 5),
+    ], ids=["two-chain", "three-worlds", "transitive-chain"])
+    def test_f0_zigzag_at_every_point(self, frame, gamma, depth):
+        """f0 maps onto the interior paths, and f0(U_k(alpha)) is the
+        closed-successor set of f0(alpha) at every point whose path is
+        interior, for k = 0..3."""
+        df = DenseFrame(frame, gamma=gamma, depth=depth)
+        for path in df.interior_paths():
+            assert f0(canonical(path[1:]), frame) == path
+        checked = 0
+        for alpha in enumerate_canonical(frame, depth - 2):
+            if f0(alpha, frame) not in df.interior_paths():
+                continue
+            for k in range(4):
+                verdict = f0_image_check(alpha, k, df)
+                assert verdict, (alpha, k, verdict)
+                checked += 1
+        assert checked > 0
+
+    def test_f0_image_check_reads_the_closed_relation(self, monkeypatch):
+        """A DenseFrame.extensions that drops the last of two or more
+        extensions leaves a closed successor outside the image."""
+        df = DenseFrame(THREE_WORLDS, depth=5)
+        assert f0_image_check((), 1, df)
+        extensions = DenseFrame.extensions
+        monkeypatch.setattr(DenseFrame, "extensions", lambda self, path: (
+            lambda out: out[:-1] if len(out) >= 2 else out)(
+                extensions(self, path)))
+        verdict = f0_image_check((), 1, df)
+        assert not verdict
+        assert verdict.condition == "image-misses-successor"
 
     def test_chain_collapse(self):
         df = DenseFrame(next_frame(7), gamma=axioms_to_theory([2]),

@@ -3,6 +3,7 @@ evaluator it replaced, on seeded scenarios built here, and the locality of
 xi that lets a ``forall`` quantify over classes."""
 
 import random
+import re
 
 import pytest
 
@@ -46,13 +47,14 @@ class WindowEvaluator(DenseEvaluator):
         return cap + 1
 
     def _eval_forall(self, alpha, a, env):
-        family = forall_family(self.space.sigma2, self.max_sigma,
+        family = forall_family(self.space.sigma2, self.tables.max_sigma,
                                self._gap_cap(alpha, a.body))
-        return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
-                         for gamma in family)
+        return self._all(
+            self.eval(alpha, a.body, {**env, a.var: (gamma, alpha)})
+            for gamma in family)
 
     def _eval_box(self, alpha, a, env):
-        m = max([st(alpha)] + [st(g) for g in env.values()])
+        m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
         try:
             exts = self.df.extensions(f0(alpha, self.df.frame))
         except BudgetExceeded:
@@ -151,9 +153,9 @@ def _longest_path(edges, i):
                default=0)
 
 
-def evaluators(s):
+def evaluators(s, j_max):
     df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth,
-                    j_max=s.j_max)
+                    j_max=j_max)
     psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
     paths = PointPaths(df.frame)
     args = (df, s.space, make_eta(s.space, psi, s.pframe, paths), s.model,
@@ -169,7 +171,8 @@ def test_agrees_with_window_evaluator(kind):
         for _ in range(2):
             text = random_scenario(rng, kind, formula, max_worlds, max_j)
             s = parse_scenario(text, kind)
-            exact, window = evaluators(s)
+            j_max = int(re.search(r"^j_max = (\d+)$", text, re.M).group(1))
+            exact, window = evaluators(s, j_max)
             got = exact.eval((), s.formula, {})
             want = window.eval((), s.formula, {})
             assert (got.value, got.certified) == \

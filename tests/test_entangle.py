@@ -7,6 +7,7 @@ from mlwb.entangle import (
     dsharp, entangle_enumerate, equiv, equiv_bruteforce, fiber, h,
     is_entangled, p1, p2, t, xi, xi_locality_check, xi_surjectivity_check,
 )
+from mlwb.pipeline import ClassTables
 from mlwb.predicate import PredKripkeFrame, check_kk_morphism
 
 
@@ -138,30 +139,34 @@ class TestDsharp:
 class TestXi:
     def test_surjectivity_on_stop_free_alpha(self):
         sp = chain_space(4)
+        tables = ClassTables(sp, 2)
         for alpha in [(), ("w1",), ("w1", "w2"), ("w1", "w2", "w3")]:
-            rep = xi_surjectivity_check(sp, alpha, max_sigma=2)
+            rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
             assert rep["ok"], rep["missed"]
 
     def test_surjectivity_with_interleaved_stops(self):
         sp = chain_space(3)
+        tables = ClassTables(sp, 2)
         for alpha in [("w1", STOP), (STOP, "w1"),
                       ("w1", STOP, STOP, "w2"), (STOP, STOP, "w1", "w2")]:
-            rep = xi_surjectivity_check(sp, alpha, max_sigma=2)
+            rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
             assert rep["ok"], rep["missed"]
 
     def test_surjectivity_checks_the_forall_family(self, monkeypatch):
-        """The check ranges over the family ``class_table`` builds, so a
-        family whose zero runs stop one short of st(alpha) misses
-        classes."""
-        import mlwb.entangle as entangle
+        """The check reads the class table of the family a ``forall`` ranges
+        over, so a family whose zero runs stop one short of st(alpha)
+        misses classes."""
+        import mlwb.pipeline as pipeline
         sp = chain_space(3)
-        assert xi_surjectivity_check(sp, ("w1",), max_sigma=2)["ok"]
-        short = entangle.enumerate_dstar
+        table = ClassTables(sp, 2)[("w1",)]
+        assert xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)["ok"]
+        short = pipeline.enumerate_dstar
         monkeypatch.setattr(
-            entangle, "enumerate_dstar",
+            pipeline, "enumerate_dstar",
             lambda sigma2, max_sigma, gap_max:
                 short(sigma2, max_sigma, gap_max - 1))
-        rep = xi_surjectivity_check(sp, ("w1",), max_sigma=2)
+        table = ClassTables(sp, 2)[("w1",)]
+        rep = xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)
         assert not rep["ok"]
         assert ("w1", "x") in rep["missed"]
 

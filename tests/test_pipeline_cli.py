@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mlwb.cli import main
+from mlwb.dense import DenseFrame
 from mlwb.horn import parse_horn_theory
 from mlwb.pipeline import parse_scenario, render_report, run_pipeline
 from mlwb.syntax import parse_pred, universal_closure
@@ -71,7 +72,6 @@ depth = 3
     (CHAIN, "depth = 3 is below its minimum 4"),
     (CHAIN.replace("root a\n", ""), "must be rooted"),
     (BARCAN.replace("depth = 5", "depth = 0"), "depth = 0"),
-    (BARCAN.replace("j_max = 3", "j_max = -1"), "j_max = -1"),
     (BARCAN.replace("max_sigma = 2", "max_sigma = 0"), "max_sigma = 0"),
     (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {}"), "empty dalphabet"),
     (BARCAN.replace("domain v = {d, e}", "domain v = {d,,e}"), "empty member"),
@@ -86,6 +86,8 @@ depth = 3
      "line 18: duplicate key ('P', 'v')"),
     (BARCAN.replace("[bounds]", "[bounds]\nk_max = x"),
      "invalid literal for int()"),
+    (BARCAN.replace("j_max = 3", "j_max = x"), "line 24: invalid literal"),
+    (BARCAN.replace("seed = 0", "seed = 0.5"), "line 26: invalid literal"),
     (BARCAN.replace("depth = 5", "depth = 5\ndepth = 9"),
      "line 24: duplicate key 'depth'"),
     (BARCAN.replace("root u", "root u\nroot v"), "line 9: duplicate key 'root'"),
@@ -111,10 +113,11 @@ depth = 3
     (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)", ""),
      "line 19: [formula] must contain exactly one formula"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
-        "frame-without-root", "depth-zero", "negative-j_max", "zero-max_sigma",
+        "frame-without-root", "depth-zero", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
         "frame-violates-reflexivity", "dalphabet-overlaps-worlds",
-        "repeated-val-line", "non-integer-k_max", "repeated-bounds-key",
+        "repeated-val-line", "non-integer-k_max", "non-integer-j_max",
+        "non-integer-seed", "repeated-bounds-key",
         "repeated-root-line", "tuple-set-double-comma", "tuple-set-no-comma",
         "tuple-set-unclosed", "tuple-set-empty-member", "name-set-as-tuples",
         "root-without-world", "root-with-two-worlds", "horn-without-arrow",
@@ -128,11 +131,10 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
 
 @pytest.mark.parametrize("changes, message", [
     ({"depth": 0}, "depth = 0"),
-    ({"j_max": -1}, "j_max = -1"),
     ({"gamma": parse_horn_theory("x R y & x R z => y R z")}, "chain sentences"),
     ({"gamma": parse_horn_theory("true => x R x")}, "violates"),
     ({"sigma2": ("1", "0")}, "alphabets must be disjoint"),
-], ids=["depth-zero", "negative-j_max", "non-chain-gamma",
+], ids=["depth-zero", "non-chain-gamma",
         "frame-violates-gamma", "dalphabet-holds-stop"])
 def test_scenario_is_checked_on_construction(changes, message):
     s = parse_scenario(BARCAN, "barcan")
@@ -202,8 +204,8 @@ class TestPipeline:
         assert all(stage.ok for stage in report.stages), render_report(report)
         detail = {key: value for stage in report.stages
                   for key, value in stage.detail.items()}
-        for key in ("xi_classes_checked", "xi_locality_members",
-                    "dstar_size"):
+        for key in ("xi_classes_checked", "box_points", "dstar_size",
+                    "atom_sites"):
             assert detail[key] > 0, render_report(report)
 
     def test_barcan_refuted(self):
@@ -215,6 +217,75 @@ class TestPipeline:
         r1 = run_pipeline(parse_scenario(BARCAN, "barcan"))
         r2 = run_pipeline(parse_scenario(BARCAN, "barcan"))
         assert _strip_times(render_report(r1)) == _strip_times(render_report(r2))
+
+
+def _drop_last_extension(monkeypatch) -> list:
+    """Makes DenseFrame.extensions drop the last of two or more extensions;
+    returns the list of the extension counts it is asked for."""
+    extensions = DenseFrame.extensions
+    counts = []
+
+    def dropped(self, path):
+        out = extensions(self, path)
+        counts.append(len(out))
+        return out[:-1] if len(out) >= 2 else out
+    monkeypatch.setattr(DenseFrame, "extensions", dropped)
+    return counts
+
+
+class TestRecordedPointChecks:
+    @pytest.mark.parametrize("name, code", [
+        ("transitive-three-chain", 1), ("barcan-two-chain", 0),
+        ("degenerate-point", 0)])
+    def test_dropped_extension_fails_at_a_box_point(self, monkeypatch, capsys,
+                                                     name, code):
+        """The box-point check reads the closed relation, so an extensions
+        enumeration that drops a successor fails f0-xi-morphism wherever a
+        visited box point has two or more extensions, and only there."""
+        counts = _drop_last_extension(monkeypatch)
+        assert main(["pipeline", str(SCENARIOS / f"{name}.scn")]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert "stage f0-xi-morphism: FAILED\n  alpha: ()\n" in out
+            assert "  stage: box-extensions\n" in out
+            assert max(counts) >= 2
+        else:
+            assert "  result: ok\n" in out
+            assert max(counts, default=0) < 2
+
+    def test_class_table_missing_a_class_fails(self, monkeypatch):
+        import mlwb.pipeline as pipeline
+        table = pipeline.class_table
+        monkeypatch.setattr(pipeline, "class_table", lambda *args: dict(
+            list(table(*args).items())[1:]))
+        report = run_pipeline(parse_scenario(BARCAN, "barcan"))
+        stages = {stage.name: stage for stage in report.stages}
+        assert not report.ok
+        assert not stages["f0-xi-morphism"].ok
+        assert stages["f0-xi-morphism"].detail["stage"] == "xi-surjectivity"
+        assert () in stages["f0-xi-morphism"].detail["missed"]
+
+    def test_non_local_eta_fails_composition(self, monkeypatch):
+        """An eta that swaps the two elements at v, and so stays onto at
+        every point, gives a word bound at the root another element at v."""
+        import mlwb.pipeline as pipeline
+        make_eta = pipeline.make_eta
+        swap = {"d": "e", "e": "d"}
+
+        def swapped(*args):
+            eta = make_eta(*args)
+            return lambda alpha, gamma: \
+                swap[eta(alpha, gamma)] if alpha else eta(alpha, gamma)
+        monkeypatch.setattr(pipeline, "make_eta", swapped)
+        report = run_pipeline(parse_scenario(BARCAN, "barcan"))
+        stages = {stage.name: stage for stage in report.stages}
+        assert not report.ok
+        assert stages["f0-xi-morphism"].ok
+        detail = stages["composition"].detail
+        assert not stages["composition"].ok
+        assert detail["eta_surjectivity_failure"] is None
+        bound, beta, _ = detail["eta_locality_failure"]
+        assert bound == () and beta != ()
 
 
 class TestCli:
