@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
 from .kripke import (
-    STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
+    STOP, EvaluationError, KripkeFrame, KripkeMorphism, grow_words,
 )
 from .predicate import PredKKMorphism, PredKripkeFrame, check_kk_morphism
 
@@ -86,24 +86,31 @@ def fiber(space: EntangleSpace, path: tuple, max_len: int) -> list:
     steps = path[1:]
     out = []
     for total in range(len(steps), max_len + 1):
-        out.extend(_interleave(steps, space.sigma2, total - len(steps), total))
+        out.extend(_interleave(steps, space.sigma2, total - len(steps),
+                               False))
     return out
 
 
-def _interleave(steps, sigma2, k: int, slots: int):
-    """Words of the ``steps`` in order, at positions chosen among the first
-    ``slots``, with ``k`` letters of ``sigma2`` filling the other places."""
-    total = len(steps) + k
-    for positions in itertools.combinations(range(slots), len(steps)):
-        for fillers in itertools.product(sigma2, repeat=k):
-            word = [None] * total
-            for idx, pos in enumerate(positions):
-                word[pos] = steps[idx]
-            it = iter(fillers)
-            for i in range(total):
-                if word[i] is None:
-                    word[i] = next(it)
-            yield tuple(word)
+def _interleave(steps, sigma2, k: int, ends_in_letter: bool) -> list:
+    """Words of the ``steps`` in order with ``k`` letters of ``sigma2``
+    placed among them, the last place going to a letter if
+    ``ends_in_letter``.  The letters cut the steps into runs: each choice
+    of cut points is extended by every letter after every run."""
+    n = len(steps)
+    out = []
+    free = k - 1 if ends_in_letter else k
+    for cuts in itertools.combinations_with_replacement(range(n + 1), free):
+        if ends_in_letter:
+            cuts += (n,)
+        words = [()]
+        start = 0
+        for cut in cuts:
+            run = steps[start:cut]
+            words = [w + run + (c,) for w in words for c in sigma2]
+            start = cut
+        tail = steps[start:]
+        out += [w + tail for w in words] if tail else words
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +157,24 @@ def dsharp(space: EntangleSpace, path: tuple, max_sigma: int) -> frozenset:
     """Canonical representatives of classes over ``path``: interleavings of
     a prefix of the path's steps with up to max_sigma domain letters, ending
     in a domain letter (or empty).  Bounding the domain-letter count keeps
-    the truncated family expanding along path extension."""
+    the truncated family expanding along path extension: the domain of a
+    path is the empty class plus the fresh classes (``fresh_classes``) of
+    each of its prefixes."""
     if not _is_path(space.frame, path):
         raise ValueError(f"not a rooted path: {path!r}")
     steps = path[1:]
     classes = {()}
     for plen in range(len(steps) + 1):
-        for k in range(1, max_sigma + 1):
-            # the last place is left to a domain letter
-            classes.update(_interleave(steps[:plen], space.sigma2, k,
-                                       plen + k - 1))
+        classes.update(fresh_classes(space, steps[:plen], max_sigma))
     return frozenset(classes)
 
 
-def domain_monotonicity_check(space: EntangleSpace, a_path: tuple,
-                              b_path: tuple, max_sigma: int) -> Verdict:
-    if not (len(b_path) == len(a_path) + 1 and b_path[:-1] == a_path
-            and (a_path[-1], b_path[-1]) in space.frame.relation):
-        return Verdict(False, "not-a-relation-step", (a_path, b_path))
-    da = dsharp(space, a_path, max_sigma)
-    db = dsharp(space, b_path, max_sigma)
-    if not da <= db:
-        return Verdict(False, "not-monotone", sorted(da - db)[0])
-    strict = sorted(db - da)
-    if not strict:
-        return Verdict(False, "no-strictness-witness", (a_path, b_path))
-    return Verdict(True, "strict", strict[0])
+def fresh_classes(space: EntangleSpace, steps: tuple, max_sigma: int) -> list:
+    """The classes born at the path with these steps: interleavings of all
+    of ``steps`` with 1..max_sigma domain letters, ending in a domain
+    letter."""
+    return [word for k in range(1, max_sigma + 1)
+            for word in _interleave(steps, space.sigma2, k, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +286,14 @@ def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     return grow_words(lambda word: steps, max_sigma)
 
 
-def class_table(space: EntangleSpace, alpha, family) -> dict:
+def class_table(classes, alpha, family) -> dict:
     """Class xi(alpha, gamma) -> the first word gamma of ``family`` in that
-    class, in the order the family first hits the classes."""
+    class, in the order the family first hits the classes.  ``classes``
+    maps each (point, word) pair to its class xi(point, word), such as the
+    per-scenario memo ``pipeline.XiClasses``."""
     table = {}
     for gamma in family:
-        table.setdefault(xi(space, alpha, gamma), gamma)
+        table.setdefault(classes[alpha, gamma], gamma)
     return table
 
 
@@ -315,29 +316,36 @@ def build_psi(space: EntangleSpace, target: PredKripkeFrame,
     truncated unravelling ``dense`` onto the target's expanding domains,
     built along the tree order; overflow classes land on a designated
     element of the parent's image.  Closure edges inherit agreement
-    automatically because they point from ancestors to descendants."""
+    automatically because they point from ancestors to descendants.
+
+    The domains grow along the same order: a path's domain is its parent's
+    plus the classes born at the path (``fresh_classes``).  Those use every
+    step of the path while each class of the parent's domain has fewer base
+    letters, so the fresh classes are disjoint from the parent's domain and
+    are exactly the classes the path adds."""
     frame = target.frame
     if frame != space.frame:
         raise ValueError("target must sit over the entangle base frame")
     if dense.frame != frame:
         raise ValueError("dense frame must sit over the target's base frame")
     closed = dense.closed_unravelling()
-    domains = {p: dsharp(space, p, max_sigma) for p in closed.worlds}
-    source = PredKripkeFrame(closed, domains)
 
+    domains = {}
     phi1 = {}
     for path in sorted(closed.worlds, key=lambda p: (len(p), p)):
         w = path[-1]
         if len(path) == 1:
+            domains[path] = dsharp(space, path, max_sigma)
             fresh = sorted(domains[path])
             targets = sorted(target.domain(w))
             inherited = {}
             parent_designated = targets[0]
         else:
             parent = path[:-1]
-            fresh = sorted(domains[path] - domains[parent])
+            fresh = sorted(fresh_classes(space, path[1:], max_sigma))
+            domains[path] = domains[parent].union(fresh)
             targets = sorted(target.domain(w) - target.domain(parent[-1]))
-            inherited = dict(phi1[parent])
+            inherited = phi1[parent]
             parent_designated = sorted(target.domain(parent[-1]))[0]
         if len(fresh) < len(targets):
             raise ValueError(
@@ -348,6 +356,7 @@ def build_psi(space: EntangleSpace, target: PredKripkeFrame,
             assignment[cls] = targets[i] if i < len(targets) else parent_designated
         phi1[path] = assignment
 
+    source = PredKripkeFrame(closed, domains)
     phi0 = KripkeMorphism(closed, frame, {p: p[-1] for p in closed.worlds},
                           interior=dense.interior_paths())
     morphism = PredKKMorphism(source, target, phi0, phi1)

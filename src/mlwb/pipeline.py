@@ -25,6 +25,11 @@ classes and eta maps its words onto the local domain; at each box point the
 extensions used are exactly the closed successors of the point's path; at
 each atom eta gives the word the element it gives at the variable's binding
 point.
+
+Each point is validated once per scenario (``PointPaths``) and each (point,
+word) pair classified by xi once (``XiClasses``); the class tables, eta and
+the checks read those memos.  The locality check at an atom still compares
+two pairs classified apart, the atom point's and the binding point's.
 """
 
 from __future__ import annotations
@@ -172,6 +177,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
 
     frame = s.pframe.frame
     paths = PointPaths(frame)
+    classes = XiClasses(s.space)
     ctx = {}
 
     def validate():
@@ -196,8 +202,8 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "classes_at_root": len(psi.source.domain((frame.root,)))}
 
     def evaluation_stage():
-        eta = make_eta(s.space, ctx["psi"], s.pframe, paths)
-        ev = DenseEvaluator(ctx["df"], s.space, eta, s.model, s.max_sigma,
+        eta = make_eta(classes, ctx["psi"], s.pframe, paths)
+        ev = DenseEvaluator(ctx["df"], classes, eta, s.model, s.max_sigma,
                             paths)
         verdict = ev.eval((), s.formula, {})
         ctx["ev"] = ev
@@ -281,40 +287,61 @@ class PointPaths(dict):
         return path
 
 
-class ClassTables(dict):
-    """Point -> the class table (``entangle.class_table``) of the family a
-    ``forall`` at the point ranges over, built once per point and scenario,
-    so that the evaluator and the checks read the same table.  The family
-    is ``enumerate_dstar`` with zero runs capped at st(alpha), which hits
-    every class that a word with at most max_sigma letters hits at alpha,
-    then the overflow words (max_sigma + 1 copies of the first domain letter
-    after at most st(alpha) zeros), which stand for the classes beyond the
-    truncated domains."""
+class XiClasses(dict):
+    """(point, word) -> the class xi(point, word), for one scenario: each
+    pair is classified the first time it is looked up and never again, by
+    ``xi`` looked up through this module's name (so that a wrapper put
+    there sees every computation).  The class tables and eta read the same
+    memo, so a word that a ``forall`` bound at a point is not classified
+    again when eta maps it there."""
 
-    def __init__(self, space: EntangleSpace, max_sigma: int):
+    def __init__(self, space: EntangleSpace):
         super().__init__()
         self.space = space
+
+    def __missing__(self, key):
+        alpha, gamma = key
+        cls = self[key] = xi(self.space, alpha, gamma)
+        return cls
+
+
+class ClassTables(dict):
+    """Point -> the class table (``entangle.class_table``) of the family a
+    ``forall`` at the point ranges over, built once per point and scenario
+    from the scenario's ``XiClasses`` memo, so that the evaluator and the
+    checks read the same table.  The family is ``enumerate_dstar`` with
+    zero runs capped at st(alpha), which hits every class that a word with
+    at most max_sigma letters hits at alpha, then the overflow words
+    (max_sigma + 1 copies of the first domain letter after at most
+    st(alpha) zeros), which stand for the classes beyond the truncated
+    domains."""
+
+    def __init__(self, classes: XiClasses, max_sigma: int):
+        super().__init__()
+        self.classes = classes
         self.max_sigma = max_sigma
 
     def __missing__(self, alpha):
         gap_max = st(alpha)
-        sigma2 = self.space.sigma2
+        sigma2 = self.classes.space.sigma2
         overflow = (sigma2[0],) * (self.max_sigma + 1)
         family = enumerate_dstar(sigma2, self.max_sigma, gap_max) \
             + [(STOP,) * g + overflow for g in range(gap_max + 1)]
-        table = self[alpha] = class_table(self.space, alpha, family)
+        table = self[alpha] = class_table(self.classes, alpha, family)
         return table
 
 
-def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame,
+def make_eta(classes: XiClasses, psi, pframe: PredKripkeFrame,
              paths: PointPaths):
     """The composite domain map: a point (a stop word over the base frame)
     and a constant-domain stop word go to an element of the target domain at
     the point's endpoint, via the class of their interleaving.  Classes with
     more domain letters than the truncated assignments carry land on the
     designated element of the parent domain of the path they were born at,
-    matching the overflow rule of the psi construction.  ``paths`` is the
-    scenario's map from points to f0 paths."""
+    matching the overflow rule of the psi construction.  ``classes`` is the
+    scenario's memo of those classes, shared with its class tables, and
+    ``paths`` its map from points to f0 paths."""
+    space = classes.space
     frame = space.frame
 
     def eta(alpha, gamma):
@@ -323,7 +350,7 @@ def make_eta(space: EntangleSpace, psi, pframe: PredKripkeFrame,
         if mapping is None:
             raise BudgetExceeded(
                 f"point {alpha!r} lies outside the truncated unravelling")
-        cls = xi(space, alpha, gamma)
+        cls = classes[alpha, gamma]
         if cls in mapping:
             return mapping[cls]
         born = (frame.root,) + tuple(c for c in cls if space.is_w(c))
@@ -380,17 +407,17 @@ class DenseEvaluator:
     evaluated once per entry of the point's class table (``ClassTables``):
     once per class, at its first word in the family.
 
-    ``paths`` maps each point to its f0 path; shared with ``make_eta``, it
-    validates each point of the scenario once."""
+    ``paths`` maps each point to its f0 path and ``classes`` each (point,
+    word) pair to its xi class; shared with ``make_eta``, they validate each
+    point and classify each pair of the scenario once."""
 
-    def __init__(self, df: DenseFrame, space: EntangleSpace, eta,
+    def __init__(self, df: DenseFrame, classes: XiClasses, eta,
                  model: PredKripkeModel, max_sigma: int, paths: PointPaths):
         self.df = df
-        self.space = space
         self.eta = eta
         self.model = model
         self.paths = paths
-        self.tables = ClassTables(space, max_sigma)
+        self.tables = ClassTables(classes, max_sigma)
         self.box_points = {}   # point -> extensions its box read
         self.atom_sites = {}   # (binding point, atom point, word) -> None
 

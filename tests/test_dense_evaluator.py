@@ -12,7 +12,7 @@ from mlwb.dense import STOP, DenseFrame, EvalVerdict, canonical, \
 from mlwb.entangle import build_psi, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
-from mlwb.pipeline import DenseEvaluator, PointPaths, make_eta, \
+from mlwb.pipeline import DenseEvaluator, PointPaths, XiClasses, make_eta, \
     parse_scenario
 from mlwb.predicate import eval_pred_kripke
 from mlwb.syntax import modal_depth, parse_pred
@@ -47,7 +47,8 @@ class WindowEvaluator(DenseEvaluator):
         return cap + 1
 
     def _eval_forall(self, alpha, a, env):
-        family = forall_family(self.space.sigma2, self.tables.max_sigma,
+        tables = self.tables
+        family = forall_family(tables.classes.space.sigma2, tables.max_sigma,
                                self._gap_cap(alpha, a.body))
         return self._all(
             self.eval(alpha, a.body, {**env, a.var: (gamma, alpha)})
@@ -158,7 +159,8 @@ def evaluators(s, j_max):
                     j_max=j_max)
     psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
     paths = PointPaths(df.frame)
-    args = (df, s.space, make_eta(s.space, psi, s.pframe, paths), s.model,
+    classes = XiClasses(s.space)
+    args = (df, classes, make_eta(classes, psi, s.pframe, paths), s.model,
             s.max_sigma, paths)
     return DenseEvaluator(*args), WindowEvaluator(*args, gamma=s.gamma)
 

@@ -1,14 +1,20 @@
+from collections import defaultdict
+from pathlib import Path
+
 import pytest
 
 from mlwb.dense import DenseFrame, STOP
-from mlwb.kripke import EvaluationError, KripkeFrame
+from mlwb.horn import parse_horn_theory
+from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
-    EntangleSpace, build_psi, canonicalize, domain_monotonicity_check,
-    dsharp, entangle_enumerate, equiv, equiv_bruteforce, fiber, h,
-    is_entangled, p1, p2, t, xi, xi_locality_check, xi_surjectivity_check,
+    EntangleSpace, build_psi, canonicalize, dsharp, entangle_enumerate,
+    equiv, equiv_bruteforce, fiber, h, is_entangled, p1, p2, t, xi,
+    xi_locality_check, xi_surjectivity_check,
 )
-from mlwb.pipeline import ClassTables
+from mlwb.pipeline import ClassTables, XiClasses, parse_scenario
 from mlwb.predicate import PredKripkeFrame, check_kk_morphism
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def chain_space(n_worlds=4, sigma=("x", "y")):
@@ -119,6 +125,89 @@ class TestEquivalence:
             equiv(sp, ("w2",), ("w2",))
 
 
+def domain_monotonicity_check(space: EntangleSpace, a_path: tuple,
+                              b_path: tuple, max_sigma: int) -> Verdict:
+    """D-sharp(a_path) is a proper subset of D-sharp(b_path) along a
+    relation step: the invariant that ``build_psi`` grows its domains on."""
+    if not (len(b_path) == len(a_path) + 1 and b_path[:-1] == a_path
+            and (a_path[-1], b_path[-1]) in space.frame.relation):
+        return Verdict(False, "not-a-relation-step", (a_path, b_path))
+    da = dsharp(space, a_path, max_sigma)
+    db = dsharp(space, b_path, max_sigma)
+    if not da <= db:
+        return Verdict(False, "not-monotone", sorted(da - db)[0])
+    strict = sorted(db - da)
+    if not strict:
+        return Verdict(False, "no-strictness-witness", (a_path, b_path))
+    return Verdict(True, "strict", strict[0])
+
+
+def dsharp_by_definition(space: EntangleSpace, paths, max_sigma: int) -> dict:
+    """Path -> its D-sharp domain read from the definition, not through
+    ``dsharp``: the entangled words whose base letters are a prefix of the
+    path's steps, with at most max_sigma domain letters, that end in a
+    domain letter or are empty.  Such a word is at most max_sigma letters
+    longer than its base part, so one enumeration up to the longest path
+    covers every path."""
+    longest = max(len(p) for p in paths) - 1
+    by_base = defaultdict(set)
+    for word in entangle_enumerate(space, longest + max_sigma):
+        if sum(map(space.is_d, word)) <= max_sigma \
+                and (not word or space.is_d(word[-1])):
+            by_base[tuple(a for a in word if space.is_w(a))].add(word)
+    return {p: frozenset().union(*(by_base[p[1:i]]
+                                   for i in range(1, len(p) + 1)))
+            for p in paths}
+
+
+def r3_frame():
+    """A frame with a cycle that validates R^3 <= R but not R^2 <= R."""
+    frame = KripkeFrame.make(["r", "a", "b"], [("r", "a"), ("r", "b"),
+                                               ("a", "b"), ("b", "a")],
+                             root="r")
+    target = PredKripkeFrame(frame, {"r": {"m"}, "a": {"m", "n", "o"},
+                                     "b": {"m", "n", "o"}})
+    return target, parse_horn_theory("x R y & y R z & z R w => x R w")
+
+
+def transitive_three_chain():
+    frame = KripkeFrame.make(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2"),
+                                                 ("w0", "w2")], root="w0")
+    target = PredKripkeFrame(frame, {"w0": {"m"}, "w1": {"m", "n"},
+                                     "w2": {"m", "n", "o"}})
+    return target, parse_horn_theory("x R y & y R z => x R z")
+
+
+def psi_inputs(name):
+    """(space, target, dense frame) of a bundled scenario or a Gamma frame."""
+    if name.endswith(".scn"):
+        s = parse_scenario((SCENARIOS / name).read_text(), name)
+        return s.space, s.pframe, DenseFrame(s.pframe.frame, gamma=s.gamma,
+                                             depth=s.depth)
+    target, gamma = {"transitive-three-chain": transitive_three_chain,
+                     "r3-frame": r3_frame}[name]()
+    return (EntangleSpace(target.frame, ("x", "y")), target,
+            DenseFrame(target.frame, gamma=gamma, depth=6))
+
+
+@pytest.mark.parametrize("max_sigma", [1, 2, 3])
+@pytest.mark.parametrize("name", [
+    "barcan-two-chain.scn", "degenerate-point.scn",
+    "transitive-three-chain.scn", "transitive-three-chain", "r3-frame"])
+def test_psi_domains_match_the_definition(name, max_sigma):
+    """The domains that ``build_psi`` grows along the tree order are the
+    D-sharp domains of the definition at every closed path, and each
+    path's domain map extends its parent's."""
+    space, target, df = psi_inputs(name)
+    psi = build_psi(space, target, df, max_sigma=max_sigma)
+    paths = psi.source.frame.worlds
+    want = dsharp_by_definition(space, paths, max_sigma)
+    for p in paths:
+        assert psi.source.domain(p) == want[p], p
+        if len(p) > 1:
+            assert psi.phi1[p[:-1]].items() <= psi.phi1[p].items(), p
+
+
 class TestDsharp:
     def test_monotone_and_strict_along_steps(self):
         sp = chain_space(4)
@@ -139,14 +228,14 @@ class TestDsharp:
 class TestXi:
     def test_surjectivity_on_stop_free_alpha(self):
         sp = chain_space(4)
-        tables = ClassTables(sp, 2)
+        tables = ClassTables(XiClasses(sp), 2)
         for alpha in [(), ("w1",), ("w1", "w2"), ("w1", "w2", "w3")]:
             rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
             assert rep["ok"], rep["missed"]
 
     def test_surjectivity_with_interleaved_stops(self):
         sp = chain_space(3)
-        tables = ClassTables(sp, 2)
+        tables = ClassTables(XiClasses(sp), 2)
         for alpha in [("w1", STOP), (STOP, "w1"),
                       ("w1", STOP, STOP, "w2"), (STOP, STOP, "w1", "w2")]:
             rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
@@ -158,14 +247,14 @@ class TestXi:
         misses classes."""
         import mlwb.pipeline as pipeline
         sp = chain_space(3)
-        table = ClassTables(sp, 2)[("w1",)]
+        table = ClassTables(XiClasses(sp), 2)[("w1",)]
         assert xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)["ok"]
         short = pipeline.enumerate_dstar
         monkeypatch.setattr(
             pipeline, "enumerate_dstar",
             lambda sigma2, max_sigma, gap_max:
                 short(sigma2, max_sigma, gap_max - 1))
-        table = ClassTables(sp, 2)[("w1",)]
+        table = ClassTables(XiClasses(sp), 2)[("w1",)]
         rep = xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)
         assert not rep["ok"]
         assert ("w1", "x") in rep["missed"]

@@ -166,6 +166,25 @@ class TestPipeline:
         report = _strip_times(render_report(run_pipeline(s)))
         assert report == (GOLDEN / f"{name}.report").read_text()
 
+    @pytest.mark.parametrize("name", ["barcan-two-chain",
+                                      "transitive-three-chain",
+                                      "degenerate-point"])
+    def test_xi_once_per_point_and_word(self, monkeypatch, name):
+        """The class tables, eta and the checks share one memo, so a run
+        classifies each (point, word) pair once, and reports the same."""
+        import mlwb.pipeline as pipeline
+        xi = pipeline.xi
+        calls = []
+
+        def recorder(space, alpha, gamma):
+            calls.append((alpha, gamma))
+            return xi(space, alpha, gamma)
+        monkeypatch.setattr(pipeline, "xi", recorder)
+        s = parse_scenario((SCENARIOS / f"{name}.scn").read_text(), name)
+        report = _strip_times(render_report(run_pipeline(s)))
+        assert report == (GOLDEN / f"{name}.report").read_text()
+        assert len(calls) == len(set(calls))
+
     @pytest.mark.parametrize("formula, max_sigma", [
         pytest.param(formula, max_sigma, id=formula if max_sigma == 2
                      else f"max_sigma={max_sigma}: {formula}")
@@ -441,7 +460,8 @@ class TestPmorphCommand:
         ("nframe", NFRAME_MORPHISM.replace("c -> y", "c -> x"), "zag"),
         ("kk", KK_MORPHISM.replace("at s : d -> m", "at s : d -> n")
                           .replace("at s : e -> n", "at s : e -> m"),
-         "domain-map-disagreement"),
+         # the one pair that disagrees, named by the witness walk
+         "domain-map-disagreement at ('r', 's', 'd')"),
         ("nk", NK_MORPHISM.replace("at b : d -> m", "at b : d -> n")
                           .replace("at b : e -> n", "at b : e -> m"),
          "domain-map-not-locally-stable"),
