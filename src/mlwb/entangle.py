@@ -134,19 +134,29 @@ def equiv(space: EntangleSpace, x, y) -> bool:
     return canonicalize(space, x) == canonicalize(space, y)
 
 
+def decompositions(space: EntangleSpace, x) -> set:
+    """The entangled ``t`` with ``x = t.c`` for a word ``c`` over W: the
+    prefixes of ``x`` reached by walking back from its end over world
+    letters, stopping at the first letter that is not one."""
+    x = tuple(x)
+    out = set()
+    i = len(x)
+    while True:
+        if is_entangled(space, x[:i]):
+            out.add(x[:i])
+        if i == 0 or not space.is_w(x[i - 1]):
+            return out
+        i -= 1
+
+
 def equiv_bruteforce(space: EntangleSpace, x, y) -> bool:
     """Oracle: x = t.c and y = t.d for an entangled t and c,d over W.
-    Kept apart from ``equiv`` as the independent side of criterion 9."""
-    x, y = tuple(x), tuple(y)
-    for i in range(len(x) + 1):
-        if not all(space.is_w(a) for a in x[i:]):
-            continue
-        for j in range(len(y) + 1):
-            if not all(space.is_w(a) for a in y[j:]):
-                continue
-            if x[:i] == y[:j] and is_entangled(space, x[:i]):
-                return True
-    return False
+    Kept apart from ``equiv`` as the independent side of criterion 9: it
+    reads the definition and never calls ``canonicalize``.  The definition
+    asks for a common ``t``, so it is factored per word: the two sets of
+    ``decompositions`` meet.  Criterion 9 builds each word's set once and
+    compares the sets of every pair the same way."""
+    return not decompositions(space, x).isdisjoint(decompositions(space, y))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
 from .neighbourhood import NFrame, NMorphism, check_n_pmorphism, nf_from_kripke
 from .syntax import (
     Atom, Box, Const, Falsum, Forall, Implies, Formula, Var,
-    constants, content_lines, free_vars, keyed_lines, parse_pred, parse_set,
-    substitute_constants, to_text, universal_closure,
+    content_lines, keyed_lines, parse_pred, parse_set, term_scan, to_text,
+    universal_closure,
 )
 
 PredFormula = Formula
@@ -119,52 +119,63 @@ class PredNModel:
 # evaluation
 
 
-def _check_closed(a: PredFormula):
-    fv = free_vars(a)
-    if fv:
-        raise EvaluationError(f"formula must be closed; free: {sorted(fv)}")
+def _closed_constants(a: PredFormula) -> set:
+    """The constants of ``a``, after refusing a free variable or a variable
+    bound again inside its scope anywhere in ``a``, also on a branch that
+    evaluation never reaches."""
+    free, consts, rebound = term_scan(a)
+    if free:
+        raise EvaluationError(f"formula must be closed; free: {sorted(free)}")
+    if rebound:
+        raise EvaluationError(f"variables {sorted(rebound)} are bound again"
+                              f" inside their scope")
+    return consts
 
 
 def eval_pred_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
-    _check_closed(a)
-    missing = set(constants(a)) - model.pframe.domain(u)
+    missing = _closed_constants(a) - model.pframe.domain(u)
     if missing:
         raise EvaluationError(
             f"constants {sorted(missing)} are not in the domain at {u!r}")
-    return _ev(model, u, a)
+    return _ev(model, u, a, {})
 
 
 def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
     if x not in model.pframe.space.points:
         raise EvaluationError(f"unknown point {x!r}")
-    _check_closed(a)
-    missing = set(constants(a)) - model.pframe.dstar
+    missing = _closed_constants(a) - model.pframe.dstar
     if missing:
         raise EvaluationError(f"constants {sorted(missing)} are not in D*")
-    return _ev(model, x, a)
+    return _ev(model, x, a, {})
 
 
-def _ev(model, x, a: PredFormula) -> bool:
-    """Truth at ``x`` in a Kripke or neighbourhood model: ``box`` needs a
-    member of the base at ``x`` throughout which the body holds, ``forall``
-    ranges over the quantifier domain at ``x``."""
+def _ev(model, x, a: PredFormula, env: dict) -> bool:
+    """Truth at ``x`` in a Kripke or neighbourhood model under ``env``, which
+    binds the variables in scope to elements: ``box`` needs a member of the
+    base at ``x`` throughout which the body holds, ``forall`` evaluates its
+    body with its variable bound to each element of the quantifier domain
+    at ``x``, and an atom reads its variables from ``env``.  The entry
+    points refuse free and rebound variables, so every lookup is bound."""
     if isinstance(a, Falsum):
         return False
     if isinstance(a, Atom):
-        args = []
-        for arg in a.args:
-            if not isinstance(arg, Const):
-                raise EvaluationError(f"open atom {to_text(a)!r}")
-            args.append(arg.value)
-        return model.holds(a.name, x, tuple(args))
+        return model.holds(a.name, x, tuple([
+            t.value if isinstance(t, Const) else env[t.name] for t in a.args]))
     if isinstance(a, Implies):
-        return (not _ev(model, x, a.left)) or _ev(model, x, a.right)
+        return (not _ev(model, x, a.left, env)) or _ev(model, x, a.right, env)
     if isinstance(a, Box):
-        return any(all(_ev(model, y, a.body) for y in u)
-                   for u in model.base[x])
+        for u in model.base[x]:
+            for y in u:
+                if not _ev(model, y, a.body, env):
+                    break
+            else:
+                return True
+        return False
     if isinstance(a, Forall):
-        return all(_ev(model, x, substitute_constants(a.body, {a.var: d}))
-                   for d in sorted(model.quantifier_domain[x]))
+        for d in sorted(model.quantifier_domain[x]):
+            if not _ev(model, x, a.body, {**env, a.var: d}):
+                return False
+        return True
     raise EvaluationError(f"unsupported formula node {a!r}")
 
 

@@ -141,82 +141,42 @@ def letters(a: Formula) -> set:
     return out
 
 
-def free_vars(a: Formula) -> set:
-    if isinstance(a, Atom):
-        return {t.name for t in a.args if isinstance(t, Var)}
-    if isinstance(a, Implies):
-        return free_vars(a.left) | free_vars(a.right)
-    if isinstance(a, Box):
-        return free_vars(a.body)
-    if isinstance(a, Forall):
-        return free_vars(a.body) - {a.var}
-    return set()
-
-
-def constants(a: Formula) -> set:
-    out = set()
-    for sub in subformulas(a):
-        if isinstance(sub, Atom):
-            out |= {t.value for t in sub.args if isinstance(t, Const)}
-    return out
-
-
-def is_closed(a: Formula) -> bool:
-    return not free_vars(a)
-
-
-def free_vars_ordered(a: Formula) -> list:
-    """Free variables in order of first occurrence."""
-    seen: list = []
+def term_scan(a: Formula) -> tuple:
+    """One walk over ``a``: its free variables in order of first occurrence,
+    its constants, and the variables that a ``forall`` binds again inside
+    the scope of one over the same variable."""
+    free, consts, rebound = {}, set(), set()
 
     def walk(f, bound):
         if isinstance(f, Atom):
             for t in f.args:
-                if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-                    seen.append(t.name)
+                if isinstance(t, Const):
+                    consts.add(t.value)
+                elif t.name not in bound:
+                    free[t.name] = None
         elif isinstance(f, Implies):
             walk(f.left, bound)
             walk(f.right, bound)
         elif isinstance(f, Box):
             walk(f.body, bound)
         elif isinstance(f, Forall):
+            if f.var in bound:
+                rebound.add(f.var)
             walk(f.body, bound | {f.var})
 
     walk(a, frozenset())
-    return seen
+    return list(free), consts, rebound
+
+
+def free_vars(a: Formula) -> set:
+    return set(term_scan(a)[0])
 
 
 def universal_closure(a: Formula) -> Formula:
     """Close ``a`` under universal quantifiers, first-occurrence order."""
-    for v in reversed(free_vars_ordered(a)):
+    for v in reversed(term_scan(a)[0]):
         a = Forall(v, a)
     return a
-
-
-def substitute_constants(a: Formula, assignment: dict) -> Formula:
-    """Replace free occurrences of variables with constants.
-
-    ``assignment`` maps variable names to constant values.  Substituting a
-    variable that occurs bound anywhere in its scope is rejected.
-    """
-    def walk(f, active):
-        if isinstance(f, Atom):
-            args = tuple(
-                Const(active[t.name]) if isinstance(t, Var) and t.name in active else t
-                for t in f.args
-            )
-            return Atom(f.name, args)
-        if isinstance(f, Implies):
-            return Implies(walk(f.left, active), walk(f.right, active))
-        if isinstance(f, Box):
-            return Box(walk(f.body, active))
-        if isinstance(f, Forall):
-            if f.var in active:
-                raise ValueError(f"cannot substitute bound variable {f.var!r}")
-            return Forall(f.var, walk(f.body, active))
-        return f
-
-    return walk(a, dict(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +340,14 @@ def _fmt(a: Formula, outer: int) -> str:
                              _PREC_UNARY, outer)
             if isinstance(inner, Implies) and isinstance(inner.right, Implies) \
                     and inner.right.right == FALSUM:
-                s = f"{_fmt(inner.left, _PREC_AND)} & {_fmt(inner.right.left, _PREC_AND)}"
+                # "&" and "|" parse left-associatively, so a right operand
+                # of the same connective keeps its parentheses
+                s = f"{_fmt(inner.left, _PREC_AND)} & {_fmt(inner.right.left, _PREC_AND + 1)}"
                 return _wrap(s, _PREC_AND, outer)
             return _wrap(f"~{_fmt(inner, _PREC_UNARY)}", _PREC_UNARY, outer)
         if isinstance(a.left, Implies) and a.left.right == FALSUM \
                 and not isinstance(a.right, Falsum):
-            s = f"{_fmt(a.left.left, _PREC_OR + 1)} | {_fmt(a.right, _PREC_OR)}"
+            s = f"{_fmt(a.left.left, _PREC_OR)} | {_fmt(a.right, _PREC_OR + 1)}"
             return _wrap(s, _PREC_OR, outer)
         s = f"{_fmt(a.left, _PREC_IMP + 1)} -> {_fmt(a.right, _PREC_IMP)}"
         return _wrap(s, _PREC_IMP, outer)

@@ -3,6 +3,7 @@ numbered criterion."""
 
 import pytest
 
+from mlwb import acceptance
 from mlwb.acceptance import CRITERIA, run_criterion
 
 
@@ -17,3 +18,18 @@ def test_criterion(number, name):
     print(f"criterion {result.number:2d} ({result.name}): {status}"
           f"  [{result.seconds:.2f}s]")
     assert result.ok, result.detail
+
+
+def test_criterion_9_catches_a_one_letter_strip(monkeypatch):
+    """A canonical form that strips only the last world letter agrees with
+    the oracle on the chain, where no word ends in two, but not on the
+    looped frame."""
+    def strip_one(space, word):
+        word = tuple(word)
+        return word[:-1] if word and space.is_w(word[-1]) else word
+
+    monkeypatch.setattr(acceptance, "canonicalize", strip_one)
+    detail = acceptance.criterion_9_equiv_oracle()
+    assert not detail["ok"]
+    assert detail["chain"]["mismatches"] == 0
+    assert detail["loop"]["mismatches"] > 0

@@ -7,8 +7,9 @@ from mlwb.dense import DenseFrame, STOP
 from mlwb.horn import parse_horn_theory
 from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
-    EntangleSpace, build_psi, canonicalize, dsharp, entangle_enumerate,
-    equiv, equiv_bruteforce, fiber, h, is_entangled, p1, p2, t, xi,
+    EntangleSpace, build_psi, canonicalize, decompositions, dsharp,
+    entangle_enumerate, equiv, equiv_bruteforce, fiber, h, is_entangled, p1,
+    p2, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
 from mlwb.pipeline import ClassTables, XiClasses, parse_scenario
@@ -111,6 +112,26 @@ class TestEquivalence:
         for i, u in enumerate(words):
             for v in words[i:]:
                 assert equiv(sp, u, v) == equiv_bruteforce(sp, u, v)
+
+    def test_decompositions_walk_back_over_world_letters(self):
+        sp = chain_space(3, sigma=("x", "y"))
+        assert decompositions(sp, ("x", "w1", "w2")) == {
+            ("x",), ("x", "w1"), ("x", "w1", "w2")}
+        assert decompositions(sp, ("w1", "x")) == {("w1", "x")}
+        assert decompositions(sp, ("w1", "w2")) == {
+            (), ("w1",), ("w1", "w2")}
+        # a prefix that is not entangled is no decomposition
+        assert decompositions(sp, ("w2",)) == {()}
+
+    def test_oracle_never_canonicalizes(self, monkeypatch):
+        sp = chain_space(3, sigma=("x", "y"))
+
+        def refuse(*args):
+            raise AssertionError("the oracle must not call canonicalize")
+
+        monkeypatch.setattr("mlwb.entangle.canonicalize", refuse)
+        assert equiv_bruteforce(sp, ("x", "w1", "w2"), ("x",))
+        assert not equiv_bruteforce(sp, ("x", "w1"), ("y", "w1"))
 
     def test_canonicalize_idempotent(self):
         sp = chain_space(3)

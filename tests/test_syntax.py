@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlwb.syntax import (
-    Atom, Box, Const, Falsum, Forall, Implies, Letter, ParseError, Var,
-    box_power, conj, dia, disj, exists, free_vars, horn_to_text, is_closed,
-    letters, modal_depth, neg, parse_horn, parse_pred, parse_prop,
-    substitute_constants, subformulas, to_text, universal_closure,
+    Atom, Box, Falsum, Forall, Implies, Letter, ParseError, Var,
+    box_power, conj, dia, disj, exists, free_vars, horn_to_text, letters,
+    modal_depth, neg, parse_horn, parse_pred, parse_prop, subformulas,
+    to_text, universal_closure,
 )
 
 
@@ -32,7 +32,13 @@ class TestPropositional:
 
     def test_derived_connectives_round_trip(self):
         p, q = Letter("p"), Letter("q")
-        for a in (neg(p), conj(p, q), disj(p, q), dia(p)):
+        r, top = Letter("r"), neg(Falsum())
+        # "&" and "|" parse left-associatively, so nesting on either side
+        # must survive printing
+        for a in (neg(p), conj(p, q), disj(p, q), dia(p),
+                  conj(conj(p, q), r), conj(p, conj(q, r)),
+                  disj(disj(p, q), r), disj(p, disj(q, r)),
+                  Implies(top, Implies(top, p))):
             assert parse_prop(to_text(a)) == a
 
     def test_box_power(self):
@@ -74,25 +80,14 @@ class TestPredicate:
 
     def test_exists_unfolds_to_primitives(self):
         a = exists("x", Atom("P", (Var("x"),)))
-        assert is_closed(a)
         assert free_vars(a) == set()
 
     def test_free_vars_and_closure(self):
         a = parse_pred("P(x) -> box Q(y)")
         assert free_vars(a) == {"x", "y"}
         closed = universal_closure(a)
-        assert is_closed(closed)
+        assert free_vars(closed) == set()
         assert parse_pred(to_text(closed)) == closed
-
-    def test_substitute_constants(self):
-        a = parse_pred("forall x. P(x) -> Q(y)")
-        out = substitute_constants(a, {"y": "d"})
-        assert Const("d") in next(
-            f for f in subformulas(out)
-            if isinstance(f, Atom) and f.name == "Q").args
-        # substituting for a bound variable is rejected
-        with pytest.raises(ValueError):
-            substitute_constants(a, {"x": "d"})
 
     def test_pred_round_trip(self):
         text = "forall x. (P(x) -> box forall y. Q(x, y))"
