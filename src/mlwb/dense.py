@@ -283,29 +283,6 @@ class TailFn:
     def all_true(self) -> bool:
         return self.even and self.odd and all(self.exc)
 
-    def first_false(self) -> Optional[int]:
-        for j, v in enumerate(self.exc):
-            if not v:
-                return j
-        if not self.even:
-            return len(self.exc) + (len(self.exc) % 2)
-        if not self.odd:
-            j = len(self.exc)
-            return j if j % 2 == 1 else j + 1
-        return None
-
-    def kind(self) -> str:
-        if self.even and self.odd and all(self.exc):
-            return "constantly-true"
-        if not self.even and not self.odd:
-            if not any(self.exc):
-                return "constantly-false"
-            return f"false-beyond-threshold({len(self.exc)})"
-        if self.even != self.odd:
-            base = "true-iff-j-even" if self.even else "true-iff-j-odd"
-            return base if not self.exc else f"{base}-after({len(self.exc)})"
-        return "constantly-true" if self.even else "constantly-false"
-
     @staticmethod
     def const(v: bool) -> "TailFn":
         return TailFn((), v, v)
@@ -356,13 +333,6 @@ def classify_formula(valuation: dict, a: Formula, pre: tuple, b: str) -> TailFn:
 
 
 @dataclass(frozen=True)
-class EvalVerdict:
-    value: Optional[bool]
-    certified: bool
-    witness: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class DenseModel:
     dense: DenseFrame
     valuation: dict  # letter name -> pattern valuation
@@ -379,7 +349,7 @@ class DenseModel:
         return max(st(alpha), longest) + 1
 
 
-def bounded_eval(model: DenseModel, alpha, a: Formula) -> EvalVerdict:
+def bounded_eval(model: DenseModel, alpha, a: Formula) -> bool:
     alpha = canonical(alpha)
     verdict = validate_stopword(alpha, model.dense.frame)
     if not verdict:
@@ -387,20 +357,20 @@ def bounded_eval(model: DenseModel, alpha, a: Formula) -> EvalVerdict:
     return _eval(model, alpha, a)
 
 
-def _eval(model: DenseModel, alpha, a: Formula) -> EvalVerdict:
+def _eval(model: DenseModel, alpha, a: Formula) -> bool:
     if isinstance(a, Falsum):
-        return EvalVerdict(False, True)
+        return False
     if isinstance(a, Letter):
-        return EvalVerdict(model.member(a.name, alpha), True)
+        return model.member(a.name, alpha)
     if isinstance(a, Implies):
         left, right = _eval(model, alpha, a.left), _eval(model, alpha, a.right)
-        return EvalVerdict(not left.value or right.value, True)
+        return not left or right
     if isinstance(a, Box):
         return _eval_box(model, alpha, a.body)
     raise EvaluationError(f"not a propositional formula: {a!r}")
 
 
-def _eval_box(model: DenseModel, alpha, body: Formula) -> EvalVerdict:
+def _eval_box(model: DenseModel, alpha, body: Formula) -> bool:
     """The box holds at alpha iff some U_k(alpha) lies inside the body's
     extension.  Decided for a body of modal depth 0 along extension steps of
     at most one letter, at the single index k = ``stability_bound(alpha)``:
@@ -419,7 +389,7 @@ def _eval_box(model: DenseModel, alpha, body: Formula) -> EvalVerdict:
     df = model.dense
     exts = df.extensions(f0(alpha, df.frame))
     if not exts:
-        return EvalVerdict(True, True, ("vacuous", None))
+        return True
     if modal_depth(body) > 0 or any(len(ext) > 1 for ext in exts):
         raise EvaluationError(
             f"box {to_text(body)} at {format_stopword(alpha)} is outside the"
@@ -427,16 +397,9 @@ def _eval_box(model: DenseModel, alpha, body: Formula) -> EvalVerdict:
             " extension steps")
     k = model.stability_bound(alpha)
     pre = restrict(alpha, k)
-    for ext in exts:
-        if ext == ():
-            if not _eval(model, alpha, body).value:
-                return EvalVerdict(False, True, ("box-falsifier", "self"))
-            continue
-        tf = classify_formula(model.valuation, body, pre, ext[0])
-        if not tf.all_true():
-            return EvalVerdict(False, True, (
-                "box-falsifier", (ext[0], tf.first_false(), tf.kind())))
-    return EvalVerdict(True, True, ("box-witness-k", k))
+    return all(_eval(model, alpha, body) if ext == () else
+               classify_formula(model.valuation, body, pre, ext[0]).all_true()
+               for ext in exts)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +451,9 @@ def counterexample_g(k_max: int = 10) -> dict:
         for w in frame.worlds)
     small = next_frame(4)
     kripke_valid = functional and brute_validity(small, axiom)
-    certified = (v_dia_p.certified and v_dia_p.value is True
-                 and v_dia_notp.certified and v_dia_notp.value is True
-                 and v_box_p.certified and v_box_p.value is False)
+    refuted = v_dia_p and v_dia_notp and not v_box_p
     return {
-        "ok": certified and kripke_valid,
+        "ok": refuted and kripke_valid,
         "dia_p": v_dia_p,
         "dia_not_p": v_dia_notp,
         "box_p": v_box_p,

@@ -7,16 +7,18 @@ back along the composed morphism and evaluate the target formula at the
 all-stops point of the dense frame, then check the (f0, xi) morphism and
 the composition at the points that evaluation visited.
 
-Dense-side predicate evaluation works directly on pseudo-infinite paths and
-is exact.  The domain maps are local: past the stopping length of every
-constant in the environment, the zero paddings of an extension family do
-not change the image of any constant, so the box quantifier evaluates each
-family once, unpadded (see ``DenseEvaluator``), and the universal quantifier
-runs over a profile-complete finite family of constant-domain stop words,
-one representative per class at the binding point (plus overflow words for
-the classes beyond the truncated domains; see ``ClassTables``).  A verdict
-is uncertified for one reason only: a box reached a frontier path of the
-truncated unravelling, and the verdict names that path.
+Dense-side predicate evaluation is the one predicate evaluator,
+``predicate.PredEvaluator``, over the hooks of ``DenseEvaluator``; it works
+directly on pseudo-infinite paths and is exact.  The domain maps are local:
+past the stopping length of every word in the environment, the zero
+paddings of an extension family do not change the image of any word, so
+the box quantifier evaluates each family once, unpadded, and the universal
+quantifier runs over a profile-complete finite family of constant-domain
+stop words, one representative per class at the binding point (plus
+overflow words for the classes beyond the truncated domains; see
+``ClassTables``).  A verdict is undecided for one reason only: a box
+reached a frontier path of the truncated unravelling and the rest of the
+formula did not decide the value; the verdict names that path.
 
 Certification rests on the checks at the points the evaluator recorded,
 which are the obligations of the truth-preservation proof where the verdict
@@ -38,17 +40,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dense import DenseFrame, STOP, EvalVerdict, canonical, f0, \
-    restrict, st
+from .dense import DenseFrame, STOP, canonical, f0, restrict, st
 from .entangle import EntangleSpace, build_psi, class_table, \
     enumerate_dstar, xi, xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, parse_frame
-from .predicate import PredKripkeFrame, PredKripkeModel, eval_pred_kripke, \
-    parse_domains, parse_pred_valuation
-from .syntax import Atom, Box, Const, Falsum, Forall, Implies, \
-    horn_to_text, keyed_lines, only_line, parse_pred, parse_set, read_line, \
-    split_sections, subformulas, to_text, universal_closure
+from .predicate import PredEvaluator, PredKripkeFrame, PredKripkeModel, \
+    Undecided, eval_pred_kripke, parse_domains, parse_pred_valuation
+from .syntax import Atom, horn_to_text, keyed_lines, only_line, parse_pred, \
+    parse_set, read_line, split_sections, subformulas, to_text, \
+    universal_closure
 
 
 @dataclass(frozen=True)
@@ -205,16 +206,16 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         eta = make_eta(classes, ctx["psi"], s.pframe, paths)
         ev = DenseEvaluator(ctx["df"], classes, eta, s.model, s.max_sigma,
                             paths)
-        verdict = ev.eval((), s.formula, {})
+        value = ev.eval((), s.formula, {})
         ctx["ev"] = ev
-        report.dense_value = verdict.value
-        report.dense_certified = verdict.certified
-        matches = verdict.certified and verdict.value == report.kripke_value
-        detail = {"ok": matches, "dense_value": verdict.value,
-                  "certified": verdict.certified,
+        certified = isinstance(value, bool)
+        report.dense_value = value if certified else None
+        report.dense_certified = certified
+        detail = {"ok": value is report.kripke_value,
+                  "dense_value": report.dense_value, "certified": certified,
                   "point": "eps (the all-stops point over the root)"}
-        if not verdict.certified:
-            detail["reason"], detail["frontier"] = verdict.witness
+        if not certified:
+            detail["reason"], detail["frontier"] = value
         return detail
 
     def f0_xi_stage():
@@ -360,12 +361,14 @@ def make_eta(classes: XiClasses, psi, pframe: PredKripkeFrame,
     return eta
 
 
-class DenseEvaluator:
-    """Exact predicate evaluation at points of the dense frame; env maps
-    each variable to its constant-domain stop word and the point that bound
-    it.  ``eval`` returns an ``EvalVerdict``; an uncertified one carries
-    ``("frontier", path)``, the f0 path whose extensions lie beyond the
-    truncated unravelling.
+class DenseEvaluator(PredEvaluator):
+    """Exact predicate evaluation at points of the dense frame: the three
+    hooks of ``predicate.PredEvaluator``, whose ``eval`` it inherits.  env
+    maps each variable to its constant-domain stop word and the point that
+    bound it; a box ranges over one family, a ``forall`` binds (word, point)
+    for each entry of the point's class table, and an atom reads each
+    argument through eta.  An undecided value is ``("frontier", path)``,
+    the f0 path whose extensions lie beyond the truncated unravelling.
 
     The evaluator records where it looks: its ``tables`` hold one class
     table per ``forall`` point, ``box_points`` the extensions each box read
@@ -400,9 +403,9 @@ class DenseEvaluator:
     point beta that the body reaches from alpha through boxes is
     canonical(restrict(., m) + ext) with m >= st(gamma), so ``h`` never
     consumes a letter of beta beyond alpha's letters, and xi(beta, gamma) =
-    xi(alpha, gamma).  The body's verdict (value, certified flag and
-    witness) therefore depends on gamma only through xi(alpha, gamma), and
-    the ``forall`` family only has to hit every class at alpha, which
+    xi(alpha, gamma).  The body's value (or undecided witness) therefore
+    depends on gamma only through xi(alpha, gamma), and the ``forall``
+    family only has to hit every class at alpha, which
     ``entangle.enumerate_dstar`` does at gap_max = st(alpha).  The body is
     evaluated once per entry of the point's class table (``ClassTables``):
     once per class, at its first word in the family.
@@ -421,47 +424,12 @@ class DenseEvaluator:
         self.box_points = {}   # point -> extensions its box read
         self.atom_sites = {}   # (binding point, atom point, word) -> None
 
-    def eval(self, alpha, a, env: dict) -> EvalVerdict:
-        if isinstance(a, Falsum):
-            return EvalVerdict(False, True)
-        if isinstance(a, Atom):
-            args = []
-            for term in a.args:
-                if isinstance(term, Const):
-                    raise EvaluationError(
-                        "scenario formulas must be constant-free")
-                gamma, bound = env[term.name]
-                self.atom_sites[(bound, alpha, gamma)] = None
-                args.append(self.eta(alpha, gamma))
-            world = self.paths[alpha][-1]
-            return EvalVerdict(self.model.holds(a.name, world, tuple(args)),
-                               True)
-        if isinstance(a, Implies):
-            left = self.eval(alpha, a.left, env)
-            right = self.eval(alpha, a.right, env)
-            if (left.certified and left.value is False) \
-                    or (right.certified and right.value is True):
-                return EvalVerdict(True, True)
-            return EvalVerdict((not left.value) or right.value,
-                               left.certified and right.certified,
-                               left.witness or right.witness)
-        if isinstance(a, Forall):
-            return self._eval_forall(alpha, a, env)
-        if isinstance(a, Box):
-            return self._eval_box(alpha, a, env)
-        raise EvaluationError(f"unsupported formula node {a!r}")
-
-    def _eval_forall(self, alpha, a, env) -> EvalVerdict:
-        return self._all(
-            self.eval(alpha, a.body, {**env, a.var: (gamma, alpha)})
-            for gamma in self.tables[alpha].values())
-
-    def _eval_box(self, alpha, a, env) -> EvalVerdict:
+    def boxes(self, alpha, env):
         path = self.paths[alpha]
         try:
             exts = self.df.extensions(path)
         except BudgetExceeded:
-            return EvalVerdict(True, False, ("frontier", path))
+            raise Undecided(("frontier", path)) from None
         self.box_points[alpha] = exts
         m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
         pre = restrict(alpha, m)
@@ -470,21 +438,18 @@ class DenseEvaluator:
             beta = canonical(pre + ext)
             self.paths.setdefault(beta, path + ext)
             betas.append(beta)
-        return self._all(self.eval(beta, a.body, env) for beta in betas)
+        return (betas,)
 
-    @staticmethod
-    def _all(verdicts) -> EvalVerdict:
-        """The conjunction of the verdicts, stopping at the first false one;
-        a true conjunction is uncertified with the first uncertified
-        conjunct's witness."""
-        uncertified = None
-        for verdict in verdicts:
-            if verdict.value is False:
-                return verdict
-            if not verdict.certified and uncertified is None:
-                uncertified = verdict
-        return uncertified if uncertified is not None \
-            else EvalVerdict(True, True)
+    def binds(self, alpha):
+        return [(gamma, alpha) for gamma in self.tables[alpha].values()]
+
+    def atom(self, alpha, a, env):
+        args = []
+        for term in a.args:
+            gamma, bound = env[term.name]
+            self.atom_sites[(bound, alpha, gamma)] = None
+            args.append(self.eta(alpha, gamma))
+        return self.model.holds(a.name, self.paths[alpha][-1], tuple(args))
 
 
 # ---------------------------------------------------------------------------

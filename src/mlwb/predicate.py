@@ -1,12 +1,14 @@
 """Predicate semantics: expanding-domain Kripke frames, constant-domain
 neighbourhood frames, and the two predicate p-morphism notions.
 
-Evaluation is defined for closed formulas; constants name domain elements
-directly.  One evaluator serves both semantics: a Kripke model is the
-principal-filter case of a neighbourhood model, and universal quantifiers
-range over the local domain on the Kripke side and over the single constant
-domain on the neighbourhood side — the asymmetry behind the Barcan
-formula's different status in the two semantics.
+One evaluator, ``PredEvaluator``, computes predicate truth for every model:
+a Kripke model is the principal-filter case of a neighbourhood model, and
+the dense frame of ``pipeline`` is a neighbourhood frame with a lazy model.
+A model supplies three hooks: the sets a box ranges over, the values a
+``forall`` binds (the local domain on the Kripke side, the single constant
+domain on the neighbourhood side -- the asymmetry behind the Barcan
+formula's different status in the two semantics) and how an atom reads its
+arguments.  Evaluation is defined for closed formulas.
 """
 
 from __future__ import annotations
@@ -19,12 +21,104 @@ from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
     check_pmorphism
 from .neighbourhood import NFrame, NMorphism, check_n_pmorphism, nf_from_kripke
 from .syntax import (
-    Atom, Box, Const, Falsum, Forall, Implies, Formula, Var,
+    Atom, Box, Falsum, Forall, Implies, Formula, Var,
     content_lines, keyed_lines, parse_pred, parse_set, term_scan, to_text,
     universal_closure,
 )
 
 PredFormula = Formula
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+class Undecided(Exception):
+    """Raised by ``boxes`` when the sets a box ranges over lie beyond what
+    the model holds; ``args[0]`` is the witness that the box's value
+    becomes."""
+
+
+class PredEvaluator:
+    """Predicate truth at a point ``x`` under ``env``, which binds the
+    variables in scope, by Kleene's strong three-valued rules: ``eval``
+    returns True, False or the witness of an undecided value (a tuple, never
+    a bool).  An implication with a false left side is true without its
+    right side; a conjunction over the points of a box member or over the
+    bindings of a ``forall`` is false at its first false part, and otherwise
+    carries the witness of its first undecided part.
+
+    A model supplies three hooks:
+
+    - ``boxes(x, env)``: the sets a box at ``x`` ranges over; the box holds
+      iff its body holds throughout one of them.  It may raise
+      ``Undecided``;
+    - ``binds(x)``: the values a ``forall`` at ``x`` binds its variable to;
+    - ``atom(x, a, env)``: the truth of the atom ``a`` at ``x``.
+
+    A finite model never raises ``Undecided``, so its values are bools."""
+
+    def eval(self, x, a: Formula, env: dict):
+        if isinstance(a, Falsum):
+            return False
+        if isinstance(a, Atom):
+            return self.atom(x, a, env)
+        if isinstance(a, Implies):
+            left = self.eval(x, a.left, env)
+            if left is False:
+                return True
+            right = self.eval(x, a.right, env)
+            return right if left is True or right is True else left
+        if isinstance(a, Box):
+            try:
+                base = self.boxes(x, env)
+            except Undecided as e:
+                return e.args[0]
+            value = False
+            for u in base:
+                part = True
+                for y in u:
+                    v = self.eval(y, a.body, env)
+                    if v is False:
+                        part = False
+                        break
+                    if part is True:
+                        part = v
+                if part is True:
+                    return True
+                if value is False:
+                    value = part
+            return value
+        if isinstance(a, Forall):
+            value = True
+            for d in self.binds(x):
+                v = self.eval(x, a.body, {**env, a.var: d})
+                if v is False:
+                    return False
+                if value is True:
+                    value = v
+            return value
+        raise EvaluationError(f"unsupported formula node {a!r}")
+
+
+class _FiniteModel(PredEvaluator):
+    """The hooks of a finite model whose ``__post_init__`` sets ``base``
+    (point -> filter base) and ``binding`` (point -> its quantifier domain,
+    sorted once): an atom reads its arguments from ``env``."""
+
+    def boxes(self, x, env):
+        return self.base[x]
+
+    def binds(self, x):
+        return self.binding[x]
+
+    def atom(self, x, a, env):
+        return self.holds(a.name, x, tuple([env[t.name] for t in a.args]))
+
+    def holds(self, name: str, w, args: tuple) -> bool:
+        if name not in self.valuation:
+            raise EvaluationError(f"predicate {name!r} has no valuation entry")
+        return args in self.valuation[name].get(w, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +148,17 @@ class PredKripkeFrame:
 
 
 @dataclass(frozen=True)
-class PredKripkeModel:
+class PredKripkeModel(_FiniteModel):
     pframe: PredKripkeFrame
     valuation: dict  # predicate name -> world -> frozenset of tuples
 
     def __post_init__(self):
-        # what the shared evaluator reads at each world: the principal
-        # filter base (the successors) and the local quantifier domain
+        # the principal filter base (the successors) and the local domain
         frame = self.pframe.frame
         object.__setattr__(self, "base",
                            {w: (frame.successors(w),) for w in frame.worlds})
-        object.__setattr__(self, "quantifier_domain", self.pframe.domains)
+        object.__setattr__(self, "binding", {
+            w: tuple(sorted(d)) for w, d in self.pframe.domains.items()})
         for name, per_world in self.valuation.items():
             arities = {len(t) for rows in per_world.values() for t in rows}
             if len(arities) > 1:
@@ -76,11 +170,6 @@ class PredKripkeModel:
                         raise ValueError(
                             f"valuation of {name!r} at {w!r} uses elements"
                             f" outside the local domain: {t!r}")
-
-    def holds(self, name: str, w, args: tuple) -> bool:
-        if name not in self.valuation:
-            raise EvaluationError(f"predicate {name!r} has no valuation entry")
-        return args in self.valuation[name].get(w, frozenset())
 
 
 @dataclass(frozen=True)
@@ -95,16 +184,16 @@ class PredNFrame:
 
 
 @dataclass(frozen=True)
-class PredNModel:
+class PredNModel(_FiniteModel):
     pframe: PredNFrame
     valuation: dict  # predicate name -> point -> frozenset of tuples
 
     def __post_init__(self):
-        # the shared evaluator's view: the filter bases, and D* everywhere
+        # the filter bases, and D* everywhere
         space = self.pframe.space
         object.__setattr__(self, "base", space.base)
-        object.__setattr__(self, "quantifier_domain",
-                           dict.fromkeys(space.points, self.pframe.dstar))
+        object.__setattr__(self, "binding", dict.fromkeys(
+            space.points, tuple(sorted(self.pframe.dstar))))
         for name, per_point in self.valuation.items():
             for x, rows in per_point.items():
                 for t in rows:
@@ -112,71 +201,32 @@ class PredNModel:
                         raise ValueError(
                             f"valuation of {name!r} at {x!r} leaves D*: {t!r}")
 
-    holds = PredKripkeModel.holds
-
 
 # ---------------------------------------------------------------------------
-# evaluation
+# entry points
 
 
-def _closed_constants(a: PredFormula) -> set:
-    """The constants of ``a``, after refusing a free variable or a variable
-    bound again inside its scope anywhere in ``a``, also on a branch that
-    evaluation never reaches."""
-    free, consts, rebound = term_scan(a)
+def eval_pred_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
+    return _evaluate(model, u, a)
+
+
+def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
+    return _evaluate(model, x, a)
+
+
+def _evaluate(model: _FiniteModel, x, a: PredFormula) -> bool:
+    """Truth of ``a`` at ``x``, after refusing an unknown point, and a free
+    variable or a variable bound again inside its scope anywhere in ``a``,
+    also on a branch that evaluation never reaches."""
+    if x not in model.binding:
+        raise EvaluationError(f"unknown point {x!r}")
+    free, rebound = term_scan(a)
     if free:
         raise EvaluationError(f"formula must be closed; free: {sorted(free)}")
     if rebound:
         raise EvaluationError(f"variables {sorted(rebound)} are bound again"
                               f" inside their scope")
-    return consts
-
-
-def eval_pred_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
-    missing = _closed_constants(a) - model.pframe.domain(u)
-    if missing:
-        raise EvaluationError(
-            f"constants {sorted(missing)} are not in the domain at {u!r}")
-    return _ev(model, u, a, {})
-
-
-def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
-    if x not in model.pframe.space.points:
-        raise EvaluationError(f"unknown point {x!r}")
-    missing = _closed_constants(a) - model.pframe.dstar
-    if missing:
-        raise EvaluationError(f"constants {sorted(missing)} are not in D*")
-    return _ev(model, x, a, {})
-
-
-def _ev(model, x, a: PredFormula, env: dict) -> bool:
-    """Truth at ``x`` in a Kripke or neighbourhood model under ``env``, which
-    binds the variables in scope to elements: ``box`` needs a member of the
-    base at ``x`` throughout which the body holds, ``forall`` evaluates its
-    body with its variable bound to each element of the quantifier domain
-    at ``x``, and an atom reads its variables from ``env``.  The entry
-    points refuse free and rebound variables, so every lookup is bound."""
-    if isinstance(a, Falsum):
-        return False
-    if isinstance(a, Atom):
-        return model.holds(a.name, x, tuple([
-            t.value if isinstance(t, Const) else env[t.name] for t in a.args]))
-    if isinstance(a, Implies):
-        return (not _ev(model, x, a.left, env)) or _ev(model, x, a.right, env)
-    if isinstance(a, Box):
-        for u in model.base[x]:
-            for y in u:
-                if not _ev(model, y, a.body, env):
-                    break
-            else:
-                return True
-        return False
-    if isinstance(a, Forall):
-        for d in sorted(model.quantifier_domain[x]):
-            if not _ev(model, x, a.body, {**env, a.var: d}):
-                return False
-        return True
-    raise EvaluationError(f"unsupported formula node {a!r}")
+    return model.eval(x, a, {})
 
 
 def barcan_formula(pred: str = "P") -> PredFormula:

@@ -58,17 +58,9 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Const:
-    value: object
-
-
-Term = Union[Var, Const]
-
-
-@dataclass(frozen=True)
 class Atom:
     name: str
-    args: tuple  # of Term; empty for 0-ary letters
+    args: tuple  # of Var; empty for 0-ary letters
 
 
 @dataclass(frozen=True)
@@ -143,16 +135,14 @@ def letters(a: Formula) -> set:
 
 def term_scan(a: Formula) -> tuple:
     """One walk over ``a``: its free variables in order of first occurrence,
-    its constants, and the variables that a ``forall`` binds again inside
-    the scope of one over the same variable."""
-    free, consts, rebound = {}, set(), set()
+    and the variables that a ``forall`` binds again inside the scope of one
+    over the same variable."""
+    free, rebound = {}, set()
 
     def walk(f, bound):
         if isinstance(f, Atom):
             for t in f.args:
-                if isinstance(t, Const):
-                    consts.add(t.value)
-                elif t.name not in bound:
+                if t.name not in bound:
                     free[t.name] = None
         elif isinstance(f, Implies):
             walk(f.left, bound)
@@ -165,7 +155,7 @@ def term_scan(a: Formula) -> tuple:
             walk(f.body, bound | {f.var})
 
     walk(a, frozenset())
-    return list(free), consts, rebound
+    return list(free), rebound
 
 
 def free_vars(a: Formula) -> set:
@@ -360,7 +350,7 @@ def _fmt(a: Formula, outer: int) -> str:
     if isinstance(a, Atom):
         if not a.args:
             return a.name
-        args = ",".join(str(t.name if isinstance(t, Var) else t.value) for t in a.args)
+        args = ",".join(t.name for t in a.args)
         return f"{a.name}({args})"
     if isinstance(a, Forall):
         return _wrap(f"forall {a.var}. {_fmt(a.body, _PREC_UNARY)}", _PREC_UNARY, outer)

@@ -5,7 +5,7 @@ import pytest
 from mlwb.horn import axioms_to_theory
 from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame
 from mlwb.dense import (
-    DenseFrame, DenseModel, EvalVerdict, FiniteSetVal, ParityVal, STOP,
+    DenseFrame, DenseModel, FiniteSetVal, ParityVal, STOP,
     bounded_eval, canonical, chain_collapse_check, classify_formula,
     counterexample_g, density_witness, enumerate_canonical, f0,
     f0_image_check, format_compact, format_stopword,
@@ -121,40 +121,38 @@ class TestNeighbourhoods:
         assert ("a", "b") in exts  # transitive shortcut
 
 
-def reference_eval(model: DenseModel, alpha, a, k_max: int) -> EvalVerdict:
+def reference_eval(model: DenseModel, alpha, a, k_max: int) -> tuple:
     """Reference: the k-loop evaluator the exact box replaced, on the
-    fragment the exact box decides.  A box tries k = 0..k_max and is
-    certified true at the first k whose one-letter families are all true;
-    it is certified false only when k_max reaches past
-    stability_bound(alpha) + 1.  An implication is certified when a
-    certified side decides it."""
+    fragment the exact box decides, as a (value, certified) pair.  A box
+    tries k = 0..k_max and is certified true at the first k whose
+    one-letter families are all true; it is certified false only when k_max
+    reaches past stability_bound(alpha) + 1.  An implication is certified
+    when a certified side decides it."""
     alpha = canonical(alpha)
     if isinstance(a, Falsum):
-        return EvalVerdict(False, True)
+        return False, True
     if isinstance(a, Letter):
-        return EvalVerdict(model.member(a.name, alpha), True)
+        return model.member(a.name, alpha), True
     if isinstance(a, Implies):
-        left = reference_eval(model, alpha, a.left, k_max)
-        right = reference_eval(model, alpha, a.right, k_max)
-        if left.certified and not left.value \
-                or right.certified and right.value:
-            return EvalVerdict(True, True)
-        return EvalVerdict(not left.value or right.value,
-                           left.certified and right.certified)
+        left, left_cert = reference_eval(model, alpha, a.left, k_max)
+        right, right_cert = reference_eval(model, alpha, a.right, k_max)
+        if left_cert and not left or right_cert and right:
+            return True, True
+        return not left or right, left_cert and right_cert
     df = model.dense
     exts = df.extensions(f0(alpha, df.frame))
     if not exts:
-        return EvalVerdict(True, True)
+        return True, True
     assert modal_depth(a.body) == 0 and all(len(ext) <= 1 for ext in exts)
     for k in range(k_max + 1):
         pre = restrict(alpha, max(k, st(alpha)))
-        if all(reference_eval(model, alpha, a.body, k_max).value
+        if all(reference_eval(model, alpha, a.body, k_max)[0]
                if ext == () else
                classify_formula(model.valuation, a.body, pre,
                                 ext[0]).all_true()
                for ext in exts):
-            return EvalVerdict(True, True)
-    return EvalVerdict(False, k_max >= model.stability_bound(alpha) + 1)
+            return True, True
+    return False, k_max >= model.stability_bound(alpha) + 1
 
 
 def random_dense_frame(rng: random.Random, kind: str) -> DenseFrame:
@@ -204,24 +202,20 @@ class TestEvaluation:
     def test_letter_and_falsum_certified(self):
         df = DenseFrame(two_chain(), depth=4)
         model = DenseModel(df, {"p": FiniteSetVal(frozenset({("a",)}))})
-        v = bounded_eval(model, ("a",), Letter("p"))
-        assert (v.value, v.certified) == (True, True)
-        v = bounded_eval(model, (STOP, "a"), Letter("p"))
-        assert (v.value, v.certified) == (False, True)
-        v = bounded_eval(model, (), Falsum())
-        assert (v.value, v.certified) == (False, True)
+        assert bounded_eval(model, ("a",), Letter("p")) is True
+        assert bounded_eval(model, (STOP, "a"), Letter("p")) is False
+        assert bounded_eval(model, (), Falsum()) is False
 
     def test_box_vacuous_at_endpoint(self):
         df = DenseFrame(two_chain(), depth=4)
         model = DenseModel(df, {"p": FiniteSetVal(frozenset())})
-        v = bounded_eval(model, ("a", "b"), Box(Letter("p")))
-        assert (v.value, v.certified) == (True, True)
+        assert bounded_eval(model, ("a", "b"), Box(Letter("p"))) is True
 
     def test_box_false_certified_on_parity(self):
         rep = counterexample_g(6)
         assert rep["ok"]
-        assert rep["box_p"].certified and rep["box_p"].value is False
-        assert rep["dia_p"].certified and rep["dia_p"].value is True
+        assert rep["box_p"] is False
+        assert rep["dia_p"] is True
 
     def test_agrees_with_k_loop_reference(self):
         """Every verdict of the exact box is certified by the k-loop
@@ -247,10 +241,11 @@ class TestEvaluation:
             for alpha in points:
                 for a in formulas:
                     got = bounded_eval(model, alpha, a)
-                    want = reference_eval(model, alpha, a, k_max=12)
-                    assert got.certified and want.certified, (alpha, a)
-                    assert got.value == want.value, (alpha, a)
-                    values.append(got.value)
+                    want, certified = reference_eval(model, alpha, a,
+                                                     k_max=12)
+                    assert certified, (alpha, a)
+                    assert got is want, (alpha, a)
+                    values.append(got)
         assert len(values) > 1000 and set(values) == {True, False}
 
     def test_nested_box_raises(self):

@@ -7,15 +7,16 @@ import re
 
 import pytest
 
-from mlwb.dense import STOP, DenseFrame, EvalVerdict, canonical, \
-    enumerate_canonical, f0, padded_words, restrict, st
+from mlwb.dense import STOP, DenseFrame, canonical, enumerate_canonical, f0, \
+    padded_words, restrict, st
 from mlwb.entangle import build_psi, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
 from mlwb.pipeline import DenseEvaluator, PointPaths, XiClasses, make_eta, \
     parse_scenario
 from mlwb.predicate import eval_pred_kripke
-from mlwb.syntax import modal_depth, parse_pred
+from mlwb.syntax import Atom, Box, Falsum, Forall, Implies, modal_depth, \
+    parse_pred
 
 
 def forall_family(sigma2, max_sigma, gap_max):
@@ -26,19 +27,58 @@ def forall_family(sigma2, max_sigma, gap_max):
         + [(STOP,) * g + overflow for g in range(gap_max + 1)]
 
 
-class WindowEvaluator(DenseEvaluator):
-    """Reference: the padding-window evaluator, quantifying word by word.  A
-    box evaluates every padding 0^j (j <= j_max) of each extension family
-    and certifies a true value only when the paddings from j_max - 1 on
-    agree; a false value is certified only when every padding is false.  A
-    forall evaluates its body at every word of its family, widened to the
-    deepest padded point a nested box can reach (ext_cap letters per step,
-    the largest power of a chain sentence of Gamma)."""
+class WindowEvaluator:
+    """Reference: the padding-window evaluator, quantifying word by word,
+    with (value, certified) verdicts.  A box evaluates every padding 0^j
+    (j <= j_max) of each extension family and certifies a true value only
+    when the paddings from j_max - 1 on agree; a false value is certified
+    only when every padding is false.  A forall evaluates its body at every
+    word of its family, widened to the deepest padded point a nested box
+    can reach (ext_cap letters per step, the largest power of a chain
+    sentence of Gamma).  An implication evaluates both sides and is
+    certified when a certified side decides it; a conjunction stops at its
+    first false part, certified or not.  env maps each variable to its
+    word."""
 
-    def __init__(self, *args, gamma=None):
-        super().__init__(*args)
+    def __init__(self, df, eta, model, max_sigma, sigma2, paths, gamma=None):
+        self.df = df
+        self.eta = eta
+        self.model = model
+        self.max_sigma = max_sigma
+        self.sigma2 = sigma2
+        self.paths = paths
         powers = chain_axiom_powers(gamma) if gamma is not None else None
         self.ext_cap = max(powers) if powers else 1
+
+    def eval(self, alpha, a, env):
+        if isinstance(a, Falsum):
+            return False, True
+        if isinstance(a, Atom):
+            args = tuple(self.eta(alpha, env[t.name]) for t in a.args)
+            return self.model.holds(a.name, self.paths[alpha][-1], args), True
+        if isinstance(a, Implies):
+            left, left_cert = self.eval(alpha, a.left, env)
+            right, right_cert = self.eval(alpha, a.right, env)
+            if left_cert and not left or right_cert and right:
+                return True, True
+            return not left or right, left_cert and right_cert
+        if isinstance(a, Forall):
+            family = forall_family(self.sigma2, self.max_sigma,
+                                   self._gap_cap(alpha, a.body))
+            return self._all(self.eval(alpha, a.body, {**env, a.var: gamma})
+                             for gamma in family)
+        if isinstance(a, Box):
+            return self._eval_box(alpha, a, env)
+        raise TypeError(a)
+
+    @staticmethod
+    def _all(verdicts):
+        certified = True
+        for value, cert in verdicts:
+            if value is False:
+                return False, cert
+            certified = certified and cert
+        return True, certified
 
     def _gap_cap(self, alpha, body):
         cap = st(alpha)
@@ -46,42 +86,34 @@ class WindowEvaluator(DenseEvaluator):
             cap += self.ext_cap * (self.df.j_max + 1)
         return cap + 1
 
-    def _eval_forall(self, alpha, a, env):
-        tables = self.tables
-        family = forall_family(tables.classes.space.sigma2, tables.max_sigma,
-                               self._gap_cap(alpha, a.body))
-        return self._all(
-            self.eval(alpha, a.body, {**env, a.var: (gamma, alpha)})
-            for gamma in family)
-
     def _eval_box(self, alpha, a, env):
-        m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
+        m = max([st(alpha)] + [st(gamma) for gamma in env.values()])
         try:
             exts = self.df.extensions(f0(alpha, self.df.frame))
         except BudgetExceeded:
-            return EvalVerdict(True, False)
+            return True, False
         pre = restrict(alpha, m)
         j_max = self.df.j_max
         certified = True
         for ext in sorted(exts):
             if ext == ():
-                v = self.eval(canonical(alpha), a.body, env)
-                if v.value is False:
-                    return EvalVerdict(False, v.certified)
-                certified = certified and v.certified
+                value, cert = self.eval(canonical(alpha), a.body, env)
+                if value is False:
+                    return False, cert
+                certified = certified and cert
                 continue
             verdicts = {js: self.eval(word, a.body, env)
                         for js, word in padded_words(pre, ext, j_max)}
-            generic = verdicts[(j_max,) * len(ext)]
-            deep = {v.value for js, v in verdicts.items()
+            generic, generic_cert = verdicts[(j_max,) * len(ext)]
+            deep = {value for js, (value, _) in verdicts.items()
                     if min(js) >= j_max - 1}
-            sub_cert = all(v.certified for v in verdicts.values())
-            if generic.value is False:
-                robust = all(v.value is False for v in verdicts.values())
-                return EvalVerdict(False, robust and sub_cert)
+            sub_cert = all(cert for _, cert in verdicts.values())
+            if generic is False:
+                robust = all(value is False for value, _ in verdicts.values())
+                return False, robust and sub_cert
             certified = certified and len(deep) == 1 and sub_cert \
-                and generic.certified
-        return EvalVerdict(True, certified)
+                and generic_cert
+        return True, certified
 
 
 # the formula templates of the dense-eval benchmark workload, each with the
@@ -160,9 +192,10 @@ def evaluators(s, j_max):
     psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
     paths = PointPaths(df.frame)
     classes = XiClasses(s.space)
-    args = (df, classes, make_eta(classes, psi, s.pframe, paths), s.model,
-            s.max_sigma, paths)
-    return DenseEvaluator(*args), WindowEvaluator(*args, gamma=s.gamma)
+    eta = make_eta(classes, psi, s.pframe, paths)
+    return DenseEvaluator(df, classes, eta, s.model, s.max_sigma, paths), \
+        WindowEvaluator(df, eta, s.model, s.max_sigma, s.sigma2, paths,
+                        gamma=s.gamma)
 
 
 @pytest.mark.parametrize("kind", ["tree", "dag", "loop"])
@@ -176,14 +209,14 @@ def test_agrees_with_window_evaluator(kind):
             j_max = int(re.search(r"^j_max = (\d+)$", text, re.M).group(1))
             exact, window = evaluators(s, j_max)
             got = exact.eval((), s.formula, {})
-            want = window.eval((), s.formula, {})
-            assert (got.value, got.certified) == \
-                (want.value, want.certified), text
-            if got.certified:
-                assert got.value == eval_pred_kripke(
+            want, want_certified = window.eval((), s.formula, {})
+            if want_certified:
+                assert got is want, text
+            if isinstance(got, bool):
+                assert got == eval_pred_kripke(
                     s.model, s.pframe.frame.root, s.formula), text
             else:
-                assert got.witness[0] == "frontier", text
+                assert got[0] == "frontier", text
                 uncertified += 1
     assert (uncertified > 0) == (kind == "loop")
 

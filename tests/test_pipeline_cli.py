@@ -213,6 +213,24 @@ class TestPipeline:
         out = render_report(report)
         assert "  reason: frontier\n" in out
         assert "  frontier: (u, v)\n" in out
+        assert "  dense_value: None\n" in out
+
+    def test_false_part_decides_past_an_undecided_one(self):
+        """The root box's first successor v leaves its implication undecided
+        (box box P(x) reaches the frontier path (u, v, v) and Q(x) is
+        false), the second, w, falsifies it: the conjunction goes on past
+        the undecided part to a certified False."""
+        text = ("[frame]\nworlds u v w\nroot u\nedges u->v u->w v->v\n"
+                "[domains]\ndomain u = {d}\ndomain v = {d}\ndomain w = {d}\n"
+                "[valuation]\nval P @ u = {(d)}\nval P @ v = {(d)}\n"
+                "val P @ w = {(d)}\nval Q @ u = {}\nval Q @ v = {}\n"
+                "val Q @ w = {}\n"
+                "[formula]\nbox ((box box P(x)) -> Q(x))\n"
+                "[bounds]\ndepth = 3\n")
+        report = run_pipeline(parse_scenario(text, "decided"))
+        assert report.ok, render_report(report)
+        assert report.dense_certified
+        assert report.dense_value is False and report.kripke_value is False
 
     def test_depth_two_checks_the_root_point(self):
         text = ("[frame]\nworlds u v\nroot u\nedges u->v\n"

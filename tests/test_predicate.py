@@ -12,8 +12,7 @@ from mlwb.predicate import (
     pred_truth_preservation_test, pullback_kk, pullback_nk,
     random_pred_formula,
 )
-from mlwb.syntax import Atom, Box, Const, Falsum, Forall, Implies, Var, \
-    parse_pred
+from mlwb.syntax import Atom, Falsum, Forall, Implies, Var, parse_pred
 
 
 def two_chain():
@@ -92,39 +91,32 @@ def _kripke_case():
     """Evaluation at the root of the expanding chain, whose domain is {d}."""
     model = PredKripkeModel(expanding_pframe(),
                             {"P": {"a": frozenset({("d",)})}})
-    return (lambda a: eval_pred_kripke(model, "r", a), "e",
-            "constants \\['e'\\] are not in the domain at 'r'")
+    return lambda x, a: eval_pred_kripke(model, x, a)
 
 
 def _nbhd_case():
     """Evaluation at the root of the same chain as an n-frame, D* = {d, e}."""
     model = PredNModel(PredNFrame(nf_from_kripke(two_chain()), {"d", "e"}),
                        {"P": {"a": frozenset({("d",)})}})
-    return (lambda a: eval_pred_nbhd(model, "r", a), "f",
-            "constants \\['f'\\] are not in D\\*")
+    return lambda x, a: eval_pred_nbhd(model, x, a)
 
 
 @pytest.mark.parametrize("case", [_kripke_case, _nbhd_case],
                          ids=["kripke", "nbhd"])
 class TestRefusals:
-    """Both evaluators refuse before they walk: free and rebound variables
-    anywhere in the formula, and constants outside the domain."""
+    """Both entry points refuse before they walk: an unknown point, and free
+    and rebound variables anywhere in the formula."""
+
+    def test_unknown_point(self, case):
+        evaluate = case()
+        with pytest.raises(EvaluationError, match="unknown point 'zz'"):
+            evaluate("zz", barcan_formula())
 
     def test_open_atom_on_unreached_branch(self, case):
-        evaluate, _, _ = case()
+        evaluate = case()
         with pytest.raises(EvaluationError,
                            match="formula must be closed; free: \\['x'\\]"):
-            evaluate(Implies(Falsum(), _p(Var("x"))))
-
-    def test_constant_outside_domain(self, case):
-        evaluate, outside, message = case()
-        with pytest.raises(EvaluationError, match=message):
-            evaluate(Implies(Falsum(), _p(Const(outside))))
-
-    def test_constant_in_domain_is_read_directly(self, case):
-        evaluate, _, _ = case()
-        assert evaluate(Box(_p(Const("d"))))
-        assert not evaluate(_p(Const("d")))
+            evaluate("r", Implies(Falsum(), _p(Var("x"))))
 
     @pytest.mark.parametrize("inner", [
         lambda body: body,
@@ -132,10 +124,10 @@ class TestRefusals:
     ], ids=["direct", "unreached-branch"])
     def test_rebound_variable(self, case, inner):
         # the parser rejects shadowing, so the formula is built directly
-        evaluate, _, _ = case()
+        evaluate = case()
         a = Forall("x", inner(Forall("x", _p(Var("x")))))
         with pytest.raises(EvaluationError, match="bound again"):
-            evaluate(a)
+            evaluate("r", a)
 
 
 class TestKKMorphisms:

@@ -38,3 +38,20 @@ def test_no_unused_imports():
                    for name, lineno in sorted(imported.items())
                    if name not in used]
     assert not unused, unused
+
+
+def test_one_predicate_evaluator():
+    """Only the syntax module and the one predicate evaluator branch on
+    ``Forall``: a model supplies what a ``forall`` binds through a hook, so
+    a second evaluator would show up here."""
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name in ("syntax.py", "predicate.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "isinstance"
+                  and any(isinstance(n, ast.Name) and n.id == "Forall"
+                          for arg in node.args[1:] for n in ast.walk(arg))]
+    assert not found, found
