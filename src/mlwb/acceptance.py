@@ -23,13 +23,16 @@ from .horn import HornTheory, axiom_to_horn, axioms_to_theory, gamma_close, \
     transitive_closure_squaring
 from .kripke import KripkeFrame, KripkeModel, axiom_inclusion_formula, \
     brute_validity, check_axiom_inclusion, check_pretransitive, \
-    eval_kripke, pretransitivity_formula, truth_preservation_test, unravel
-from .neighbourhood import NFrame, NModel, eval_nbhd, nf_from_kripke, \
+    pretransitivity_formula, truth_preservation_test, unravel
+from .kripke import truth_set as kripke_truth_set
+from .neighbourhood import NFrame, NModel, nf_from_kripke, \
     n_morphism_from_kripke, n_truth_preservation_test
+from .neighbourhood import truth_set as nbhd_truth_set
 from .predicate import PredKripkeFrame, PredKripkeModel, PredNFrame, \
     PredNKMorphism, PredNModel, barcan_formula, converse_barcan_formula, \
-    eval_pred_kripke, eval_pred_nbhd, pullback_kk, \
-    pred_truth_preservation_test, random_pred_formula
+    eval_pred_kripke, pullback_kk, pred_truth_preservation_test, \
+    random_pred_formula
+from .predicate import truth_set as pred_truth_set
 from .pipeline import parse_scenario, render_report, run_pipeline
 from .syntax import Box, Falsum, Implies, Letter, neg
 
@@ -237,10 +240,8 @@ def criterion_7_logic_agreement() -> dict:
         km = KripkeModel(frame, val)
         nm = NModel(nf_from_kripke(frame), val)
         for a in formulas:
-            for w in worlds:
-                checked += 1
-                if eval_kripke(km, w, a) != eval_nbhd(nm, w, a):
-                    mismatches += 1
+            checked += len(worlds)
+            mismatches += len(kripke_truth_set(km, a) ^ nbhd_truth_set(nm, a))
     return {"ok": checked > 0 and mismatches == 0, "checked": checked,
             "mismatches": mismatches}
 
@@ -351,9 +352,7 @@ def criterion_10_barcan() -> dict:
                            frozenset((d,) for d in dom)]] * n_points):
                     model = PredNModel(pnf, {"P": dict(zip(points, rows))})
                     checked += 1
-                    for x in points:
-                        if not eval_pred_nbhd(model, x, barcan):
-                            failures += 1
+                    failures += n_points - len(pred_truth_set(model, barcan))
     # the expanding-domain refutation of Barcan on the Kripke side
     chain = KripkeFrame(frozenset({"u", "v"}), frozenset({("u", "v")}), "u")
     witness = PredKripkeModel(
@@ -381,9 +380,7 @@ def criterion_10_barcan() -> dict:
         val = {"P": {w: frozenset((d,) for d in doms[w]
                                   if rng.random() < 0.5) for w in worlds}}
         model = PredKripkeModel(pframe, val)
-        for w in worlds:
-            if not eval_pred_kripke(model, w, converse):
-                cb_failures += 1
+        cb_failures += n - len(pred_truth_set(model, converse))
     ok = failures == 0 and barcan_refuted and cb_failures == 0
     return {"ok": ok, "nframe_instances": checked,
             "barcan_refuted_on_witness": barcan_refuted,

@@ -1,6 +1,6 @@
 """Finite Kripke frames and models.
 
-Evaluation, generated subframes, depth-truncated unravelling, p-morphism
+Evaluation by truth sets, depth-truncated unravelling, p-morphism
 verification and brute-force validity checking.  Worlds are arbitrary
 hashable ids; the id ``"0"`` is reserved for the stop symbol used by the
 dense-path machinery.
@@ -8,7 +8,6 @@ dense-path machinery.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -67,14 +66,6 @@ def reachable(frame: KripkeFrame, w) -> frozenset:
     return frozenset(seen)
 
 
-def generated_subframe(frame: KripkeFrame, w) -> KripkeFrame:
-    if w not in frame.worlds:
-        raise ValueError(f"unknown world {w!r}")
-    ws = reachable(frame, w)
-    rel = frozenset(p for p in frame.relation if p[0] in ws and p[1] in ws)
-    return KripkeFrame(ws, rel, root=w)
-
-
 def relation_compose(r1: frozenset, r2: frozenset) -> frozenset:
     by_left: dict = {}
     for u, v in r2:
@@ -100,25 +91,53 @@ class KripkeModel:
             if not frozenset(ws) <= self.frame.worlds:
                 raise ValueError(f"valuation of {p!r} outside worlds")
 
-    def extension(self, p: str) -> frozenset:
-        if p not in self.valuation:
-            raise EvaluationError(f"letter {p!r} has no valuation entry")
-        return frozenset(self.valuation[p])
 
-
-# kept apart from neighbourhood.eval_nbhd: criterion 7 compares the two
 def eval_kripke(model: KripkeModel, w, a: Formula) -> bool:
     if w not in model.frame.worlds:
         raise EvaluationError(f"unknown world {w!r}")
-    if isinstance(a, Falsum):
-        return False
-    if isinstance(a, Letter):
-        return w in model.extension(a.name)
-    if isinstance(a, Implies):
-        return not eval_kripke(model, w, a.left) or eval_kripke(model, w, a.right)
-    if isinstance(a, Box):
-        return all(eval_kripke(model, v, a.body) for v in model.frame.successors(w))
-    raise EvaluationError(f"not a propositional formula: {a!r}")
+    return w in truth_set(model, a)
+
+
+def truth_set(model: KripkeModel, a: Formula) -> frozenset:
+    """The worlds of ``model`` where ``a`` holds."""
+    worlds = list(model.frame.worlds)
+    vectors = {p: list(map(ext.__contains__, worlds))
+               for p, ext in model.valuation.items()}
+    values = _truth_vectors(model.frame, worlds, a, vectors, 1)
+    return frozenset(w for w, x in zip(worlds, values) if x)
+
+
+# kept apart from neighbourhood.truth_set: criterion 7 compares the two
+def _truth_vectors(frame: KripkeFrame, worlds: list, a: Formula,
+                   vectors: dict, full: int) -> list:
+    """The value of ``a`` at each of ``worlds`` (the frame's, in that order)
+    as a bit-vector whose bit k is the value under valuation k; ``full``
+    has a bit per valuation and ``vectors`` gives each letter's values."""
+    index = dict(zip(worlds, range(len(worlds))))
+    succ = [[] for _ in worlds]
+    for u, v in frame.relation:
+        succ[index[u]].append(index[v])
+
+    def ev(b):
+        if isinstance(b, Letter):
+            if b.name not in vectors:
+                raise EvaluationError(f"letter {b.name!r} has no valuation entry")
+            return vectors[b.name]
+        if isinstance(b, Implies):
+            return [(full ^ x) | y for x, y in zip(ev(b.left), ev(b.right))]
+        if isinstance(b, Box):
+            body = ev(b.body)
+            out = []
+            for vs in succ:
+                x = full
+                for v in vs:
+                    x &= body[v]
+                out.append(x)
+            return out
+        if isinstance(b, Falsum):
+            return [0] * len(worlds)
+        raise EvaluationError(f"not a propositional formula: {b!r}")
+    return ev(a)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +255,26 @@ def random_formula(rng: random.Random, letter_names: list, depth: int) -> Formul
 def brute_validity(frame: KripkeFrame, a: Formula, cap: int = 2 ** 20) -> bool:
     """True iff ``a`` holds at every world under every valuation.
 
-    Enumerates all valuations; refuses (loudly) when 2^(|letters|*|W|)
-    exceeds ``cap`` rather than sampling.  Kept as the independent oracle
-    for the relational checks in criteria 1 and 5.
+    Evaluates ``a`` once under all 2^n valuations, n = |letters| * |W|: a
+    world's value is a 2^n-bit vector, and bit i*|W| + j of valuation k is
+    the i-th letter (sorted) at the j-th world (sorted by ``repr``).
+    Refuses (loudly) when 2^n exceeds ``cap``; at the default cap a vector
+    is 128 KiB.  The independent oracle for criteria 1 and 5.
     """
     names = sorted(letters(a))
     worlds = sorted(frame.worlds, key=repr)
-    n_models = 2 ** (len(names) * len(worlds))
-    if n_models > cap:
-        raise BudgetExceeded(f"{n_models} valuations exceed cap {cap}")
-    for bits in itertools.product(*[range(2)] * (len(names) * len(worlds))):
-        val = {}
-        for i, p in enumerate(names):
-            chunk = bits[i * len(worlds):(i + 1) * len(worlds)]
-            val[p] = frozenset(w for w, b in zip(worlds, chunk) if b)
-        model = KripkeModel(frame, val)
-        for w in worlds:
-            if not eval_kripke(model, w, a):
-                return False
-    return True
+    n = len(names) * len(worlds)
+    if 2 ** n > cap:
+        raise BudgetExceeded(f"{2 ** n} valuations exceed cap {cap}")
+    # bit k of bits[b] is bit b of k: double the valuations n times
+    bits, width = [], 1
+    for _ in range(n):
+        bits = [x | x << width for x in bits] + [((1 << width) - 1) << width]
+        width *= 2
+    vectors = {p: bits[i * len(worlds):(i + 1) * len(worlds)]
+               for i, p in enumerate(names)}
+    full = (1 << width) - 1
+    return all(x == full for x in _truth_vectors(frame, worlds, a, vectors, full))
 
 
 def check_axiom_inclusion(frame: KripkeFrame, k: int) -> Verdict:

@@ -50,26 +50,29 @@ class NModel:
     frame: NFrame
     valuation: dict
 
-    def extension(self, p: str) -> frozenset:
-        if p not in self.valuation:
-            raise EvaluationError(f"letter {p!r} has no valuation entry")
-        return frozenset(self.valuation[p])
 
-
-# kept apart from kripke.eval_kripke: criterion 7 compares the two
 def eval_nbhd(model: NModel, x, a: Formula) -> bool:
     if x not in model.frame.points:
         raise EvaluationError(f"unknown point {x!r}")
+    return x in truth_set(model, a)
+
+
+# kept apart from kripke.truth_set: criterion 7 compares the two
+def truth_set(model: NModel, a: Formula) -> frozenset:
+    """The points of ``model`` where ``a`` holds, bottom-up."""
+    points = model.frame.points
     if isinstance(a, Falsum):
-        return False
+        return frozenset()
     if isinstance(a, Letter):
-        return x in model.extension(a.name)
+        if a.name not in model.valuation:
+            raise EvaluationError(f"letter {a.name!r} has no valuation entry")
+        return points & model.valuation[a.name]
     if isinstance(a, Implies):
-        return not eval_nbhd(model, x, a.left) or eval_nbhd(model, x, a.right)
+        return (points - truth_set(model, a.left)) | truth_set(model, a.right)
     if isinstance(a, Box):
-        ext = frozenset(y for y in model.frame.points
-                        if eval_nbhd(model, y, a.body))
-        return model.frame.is_neighbourhood(x, ext)
+        body = truth_set(model, a.body)
+        return frozenset(x for x in points
+                         if model.frame.is_neighbourhood(x, body))
     raise EvaluationError(f"not a propositional formula: {a!r}")
 
 

@@ -214,19 +214,28 @@ def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
     return _evaluate(model, x, a)
 
 
+def truth_set(model: _FiniteModel, a: PredFormula) -> frozenset:
+    """The points of a finite model where ``a`` holds; ``a`` is checked once."""
+    _check_closed(a)
+    return frozenset(x for x in model.binding if model.eval(x, a, {}))
+
+
 def _evaluate(model: _FiniteModel, x, a: PredFormula) -> bool:
-    """Truth of ``a`` at ``x``, after refusing an unknown point, and a free
-    variable or a variable bound again inside its scope anywhere in ``a``,
-    also on a branch that evaluation never reaches."""
     if x not in model.binding:
         raise EvaluationError(f"unknown point {x!r}")
+    _check_closed(a)
+    return model.eval(x, a, {})
+
+
+def _check_closed(a: PredFormula) -> None:
+    """Refuse a free variable, or a variable bound again inside its scope,
+    anywhere in ``a``, also on a branch that evaluation never reaches."""
     free, rebound = term_scan(a)
     if free:
         raise EvaluationError(f"formula must be closed; free: {sorted(free)}")
     if rebound:
         raise EvaluationError(f"variables {sorted(rebound)} are bound again"
                               f" inside their scope")
-    return model.eval(x, a, {})
 
 
 def barcan_formula(pred: str = "P") -> PredFormula:
@@ -354,16 +363,6 @@ def _arities(model: PredKripkeModel) -> dict:
     return {name: max((len(t) for rows in per.values() for t in rows),
                       default=0)
             for name, per in model.valuation.items()}
-
-
-def compose_morphisms(nk: PredNKMorphism, kk: PredKKMorphism) -> PredNKMorphism:
-    """eta_x(d) = psi_{1 phi0(x)}(phi1_x(d))."""
-    if kk.source != nk.target and kk.source is not nk.target:
-        raise ValueError("morphism codomain/domain mismatch")
-    phi0 = {x: kk.phi0.map[nk.phi0[x]] for x in nk.space.points}
-    phi1 = {x: {d: kk.phi1[nk.phi0[x]][nk.phi1[x][d]] for d in nk.dstar}
-            for x in nk.space.points}
-    return PredNKMorphism(nk.space, kk.target, nk.dstar, phi0, phi1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,66 @@ import random
 import pytest
 
 from mlwb.kripke import (
-    BudgetExceeded, KripkeFrame, KripkeModel, KripkeMorphism, axiom_inclusion_formula,
-    brute_validity, check_axiom_inclusion, check_pmorphism, check_pretransitive,
-    eval_kripke, format_frame, generated_subframe, parse_frame, parse_valuation,
-    pretransitivity_formula, pullback_valuation, reachable, relation_power,
-    truth_preservation_test, unravel,
+    BudgetExceeded, EvaluationError, KripkeFrame, KripkeModel, KripkeMorphism,
+    axiom_inclusion_formula, brute_validity, check_axiom_inclusion,
+    check_pmorphism, check_pretransitive, eval_kripke, format_frame,
+    parse_frame, parse_valuation, pretransitivity_formula, pullback_valuation,
+    random_formula, reachable, relation_power, truth_preservation_test,
+    truth_set, unravel,
 )
-from mlwb.syntax import Box, Implies, Letter, neg, parse_prop
+from mlwb.syntax import Box, Falsum, Implies, Letter, letters, neg, parse_prop
 
 
 def chain(n):
     worlds = [f"w{i}" for i in range(n)]
     return KripkeFrame(frozenset(worlds),
                        frozenset(zip(worlds, worlds[1:])), worlds[0])
+
+
+def generated_subframe(frame: KripkeFrame, w) -> KripkeFrame:
+    if w not in frame.worlds:
+        raise ValueError(f"unknown world {w!r}")
+    ws = reachable(frame, w)
+    rel = frozenset(p for p in frame.relation if p[0] in ws and p[1] in ws)
+    return KripkeFrame(ws, rel, root=w)
+
+
+def pointwise_eval(model: KripkeModel, w, a) -> bool:
+    """The reference: truth at one world by structural recursion, looking
+    only where the formula leads."""
+    if isinstance(a, Falsum):
+        return False
+    if isinstance(a, Letter):
+        return w in model.valuation[a.name]
+    if isinstance(a, Implies):
+        return not pointwise_eval(model, w, a.left) or \
+            pointwise_eval(model, w, a.right)
+    if isinstance(a, Box):
+        return all(pointwise_eval(model, v, a.body)
+                   for v in model.frame.successors(w))
+    raise TypeError(a)
+
+
+def pointwise_validity(frame: KripkeFrame, a) -> bool:
+    """The reference: the reference evaluator at every world under each
+    valuation in turn."""
+    names = sorted(letters(a))
+    worlds = sorted(frame.worlds, key=repr)
+    for bits in itertools.product([0, 1], repeat=len(names) * len(worlds)):
+        val = {p: frozenset(w for j, w in enumerate(worlds)
+                            if bits[i * len(worlds) + j])
+               for i, p in enumerate(names)}
+        model = KripkeModel(frame, val)
+        if not all(pointwise_eval(model, w, a) for w in worlds):
+            return False
+    return True
+
+
+def random_frame(rng: random.Random, max_worlds: int = 4) -> KripkeFrame:
+    worlds = [f"w{i}" for i in range(rng.randint(1, max_worlds))]
+    relation = frozenset((u, v) for u in worlds for v in worlds
+                         if rng.random() < 0.4)
+    return KripkeFrame(frozenset(worlds), relation, worlds[0])
 
 
 class TestFrames:
@@ -57,6 +104,44 @@ class TestEvaluation:
         f = chain(2)
         assert brute_validity(f, parse_prop("box p -> box p"))
         assert not brute_validity(f, parse_prop("p -> box p"))
+
+    def test_truth_set_matches_pointwise_reference(self):
+        rng = random.Random(15)
+        for _ in range(400):
+            frame = random_frame(rng)
+            val = {p: frozenset(w for w in frame.worlds if rng.random() < 0.5)
+                   for p in ("p", "q")}
+            model = KripkeModel(frame, val)
+            a = random_formula(rng, ["p", "q"], depth=3)
+            expected = {w for w in frame.worlds if pointwise_eval(model, w, a)}
+            assert truth_set(model, a) == expected
+            for w in frame.worlds:
+                assert eval_kripke(model, w, a) == (w in expected)
+
+    def test_brute_validity_matches_all_valuations_loop(self):
+        rng = random.Random(15)
+        p, q = Letter("p"), Letter("q")
+        schemata = [Implies(Box(Implies(p, q)), Implies(Box(p), Box(q))),
+                    Implies(Box(p), p), Implies(Box(p), Box(Box(p))),
+                    Implies(p, Box(neg(Box(neg(p))))),
+                    Implies(neg(Box(neg(p))), Box(p)),
+                    Implies(Box(p), Box(q)), Implies(Box(q), Box(q))]
+        valid = 0
+        for i in range(120):
+            frame = random_frame(rng)
+            a = schemata[i % len(schemata)] if i % 2 else \
+                random_formula(rng, ["p", "q"], depth=3)
+            expected = pointwise_validity(frame, a)
+            assert brute_validity(frame, a) == expected, (frame, a)
+            valid += expected
+        assert 0 < valid < 120
+
+    def test_missing_letter_refused_where_pointwise_never_looks(self):
+        model = KripkeModel(chain(2), {"p": frozenset({"w1"})})
+        for a in ("false -> q", "box false -> box q", "p -> (q -> p)"):
+            with pytest.raises(EvaluationError,
+                               match="letter 'q' has no valuation entry"):
+                eval_kripke(model, "w0", parse_prop(a))
 
     def test_brute_validity_budget(self):
         worlds = frozenset(f"w{i}" for i in range(25))

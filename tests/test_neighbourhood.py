@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from mlwb.kripke import KripkeFrame, KripkeModel, KripkeMorphism, \
-    check_pmorphism, eval_kripke, pullback_valuation, unravel
+from mlwb.kripke import EvaluationError, KripkeFrame, KripkeModel, \
+    KripkeMorphism, check_pmorphism, eval_kripke, pullback_valuation, \
+    random_formula, unravel
 from mlwb.neighbourhood import (
     NFrame, NModel, check_n_pmorphism, eval_nbhd, n_morphism_from_kripke,
-    n_truth_preservation_test, nf_from_kripke, parse_nframe,
+    n_truth_preservation_test, nf_from_kripke, parse_nframe, truth_set,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, neg, parse_prop
 
@@ -15,6 +17,38 @@ def chain(n):
     worlds = [f"w{i}" for i in range(n)]
     return KripkeFrame(frozenset(worlds),
                        frozenset(zip(worlds, worlds[1:])), worlds[0])
+
+
+def pointwise_eval(model: NModel, x, a) -> bool:
+    """The reference: truth at one point by structural recursion; a box
+    collects its body's extension point by point."""
+    if isinstance(a, Falsum):
+        return False
+    if isinstance(a, Letter):
+        return x in model.valuation[a.name]
+    if isinstance(a, Implies):
+        return not pointwise_eval(model, x, a.left) or \
+            pointwise_eval(model, x, a.right)
+    if isinstance(a, Box):
+        ext = frozenset(y for y in model.frame.points
+                        if pointwise_eval(model, y, a.body))
+        return model.frame.is_neighbourhood(x, ext)
+    raise TypeError(a)
+
+
+def random_base(rng: random.Random, points: list) -> tuple:
+    """One to three random subsets of ``points``, sometimes the empty set
+    among them, closed under intersection so that they form a filter
+    base."""
+    members = {frozenset(y for y in points if rng.random() < 0.6)
+               for _ in range(rng.randint(1, 3))}
+    if rng.random() < 0.2:
+        members.add(frozenset())
+    while True:
+        meets = {m1 & m2 for m1 in members for m2 in members} - members
+        if not meets:
+            return tuple(sorted(members, key=sorted))
+        members |= meets
 
 
 class TestNFrame:
@@ -62,6 +96,31 @@ class TestEvaluation:
                 for a in formulas:
                     for w in worlds:
                         assert eval_kripke(km, w, a) == eval_nbhd(nm, w, a)
+
+    def test_truth_set_matches_pointwise_reference(self):
+        rng = random.Random(15)
+        several = improper = 0
+        for _ in range(400):
+            points = [f"x{i}" for i in range(rng.randint(1, 4))]
+            nf = NFrame(frozenset(points),
+                        {x: random_base(rng, points) for x in points})
+            several += any(len(ms) > 1 for ms in nf.base.values())
+            improper += any(frozenset() in ms for ms in nf.base.values())
+            val = {p: frozenset(x for x in points if rng.random() < 0.5)
+                   for p in ("p", "q")}
+            model = NModel(nf, val)
+            a = random_formula(rng, ["p", "q"], depth=3)
+            expected = {x for x in points if pointwise_eval(model, x, a)}
+            assert truth_set(model, a) == expected
+            for x in points:
+                assert eval_nbhd(model, x, a) == (x in expected)
+        assert several > 100 and improper > 50
+
+    def test_missing_letter_refused_where_pointwise_never_looks(self):
+        model = NModel(nf_from_kripke(chain(2)), {"p": frozenset({"w1"})})
+        with pytest.raises(EvaluationError,
+                           match="letter 'q' has no valuation entry"):
+            eval_nbhd(model, "w0", parse_prop("false -> q"))
 
     def test_box_via_base_member(self):
         # a genuinely non-principal base: two nested neighbourhoods

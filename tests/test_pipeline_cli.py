@@ -353,6 +353,14 @@ class TestCli:
         assert main(["eval", "--model", str(m), "--at", "u",
                      "--formula", "p"]) == 1
 
+    def test_eval_missing_letter_exits_2(self, tmp_path, capsys):
+        m = tmp_path / "model.txt"
+        m.write_text("[frame]\nworlds u v\nroot u\nedges u->v\n"
+                     "[valuation]\nval p = {v}\n")
+        assert main(["eval", "--model", str(m), "--at", "u",
+                     "--formula", "false -> q"]) == 2
+        assert "letter 'q' has no valuation entry" in capsys.readouterr().err
+
     def test_close_command(self, tmp_path, capsys):
         f = tmp_path / "frame.txt"
         f.write_text("worlds u v w\nroot u\nedges u->v v->w\n")

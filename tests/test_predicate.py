@@ -7,12 +7,21 @@ from mlwb.neighbourhood import NFrame, nf_from_kripke
 from mlwb.predicate import (
     PredKKMorphism, PredKripkeFrame, PredKripkeModel, PredNFrame, PredNKMorphism,
     PredNModel, barcan_formula, check_kk_morphism, check_nk_morphism,
-    compose_morphisms, converse_barcan_formula, eval_pred_kripke,
-    eval_pred_nbhd, parse_domains, parse_pred_valuation,
-    pred_truth_preservation_test, pullback_kk, pullback_nk,
-    random_pred_formula,
+    converse_barcan_formula, eval_pred_kripke, eval_pred_nbhd, parse_domains,
+    parse_pred_valuation, pred_truth_preservation_test, pullback_kk,
+    pullback_nk, random_pred_formula, truth_set,
 )
 from mlwb.syntax import Atom, Falsum, Forall, Implies, Var, parse_pred
+
+
+def compose_morphisms(nk: PredNKMorphism, kk: PredKKMorphism) -> PredNKMorphism:
+    """The composite NK morphism: eta_x(d) = psi_{1 phi0(x)}(phi1_x(d))."""
+    if kk.source != nk.target and kk.source is not nk.target:
+        raise ValueError("morphism codomain/domain mismatch")
+    phi0 = {x: kk.phi0.map[nk.phi0[x]] for x in nk.space.points}
+    phi1 = {x: {d: kk.phi1[nk.phi0[x]][nk.phi1[x][d]] for d in nk.dstar}
+            for x in nk.space.points}
+    return PredNKMorphism(nk.space, kk.target, nk.dstar, phi0, phi1)
 
 
 def two_chain():
@@ -128,6 +137,23 @@ class TestRefusals:
         a = Forall("x", inner(Forall("x", _p(Var("x")))))
         with pytest.raises(EvaluationError, match="bound again"):
             evaluate("r", a)
+
+
+def test_truth_set_collects_the_pointwise_values():
+    kripke = PredKripkeModel(expanding_pframe(), {"P": {
+        "a": frozenset({("d",)}), "b": frozenset({("d",), ("e",)})}})
+    nbhd = PredNModel(PredNFrame(nf_from_kripke(two_chain()), {"d", "e"}),
+                      {"P": {"r": frozenset({("e",)}),
+                             "a": frozenset({("d",)})}})
+    rng = random.Random(15)
+    for model, evaluate in ((kripke, eval_pred_kripke),
+                            (nbhd, eval_pred_nbhd)):
+        for _ in range(100):
+            a = random_pred_formula(rng, {"P": 1}, depth=2)
+            assert truth_set(model, a) == \
+                {x for x in "rab" if evaluate(model, x, a)}
+        with pytest.raises(EvaluationError, match="formula must be closed"):
+            truth_set(model, Implies(Falsum(), _p(Var("x"))))
 
 
 class TestKKMorphisms:
