@@ -23,7 +23,7 @@ from typing import Optional
 from .horn import HornTheory, chain_axiom_powers, gamma_close
 from .kripke import (
     STOP, BudgetExceeded, EvaluationError, KripkeFrame, Verdict,
-    brute_validity, grow_words, relation_compose, unravel,
+    brute_validity, grow_words, relation_compose, successor_map, unravel,
 )
 from .syntax import Box, Falsum, Formula, Implies, Letter, dia, modal_depth, \
     neg, to_text
@@ -137,6 +137,7 @@ class DenseFrame:
     j_max: int = 8
     _closed: KripkeFrame = field(init=False, repr=False, compare=False)
     _interior: frozenset = field(init=False, repr=False, compare=False)
+    _successors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unr = unravel(self.frame, self.depth)
@@ -147,6 +148,7 @@ class DenseFrame:
             closed = gamma_close(unr.frame, self.gamma)
         object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_interior", unr.interior)
+        object.__setattr__(self, "_successors", successor_map(closed))
 
     def closed_unravelling(self) -> KripkeFrame:
         return self._closed
@@ -164,7 +166,7 @@ class DenseFrame:
             raise BudgetExceeded(
                 f"path {path!r} is a frontier path; raise the depth bound")
         out = []
-        for q in sorted(self._closed.successors(path), key=repr):
+        for q in sorted(self._successors.get(path, ()), key=repr):
             if q == path:
                 out.append(())
             elif q[:len(path)] == path:

@@ -12,13 +12,15 @@ constant-domain construction matches.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
 from .kripke import (
-    STOP, EvaluationError, KripkeFrame, KripkeMorphism, grow_words,
+    STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
 )
-from .predicate import PredKKMorphism, PredKripkeFrame, check_kk_morphism
+from .predicate import PredKKMorphism, PredKripkeFrame, check_agreement, \
+    check_domain_maps, check_kk_morphism
 
 
 @dataclass(frozen=True)
@@ -320,59 +322,134 @@ def xi_surjectivity_check(space: EntangleSpace, alpha, table: dict,
 # psi
 
 
+class PsiMaps(dict):
+    """Path -> psi's domain map at the path (D-sharp class -> element of the
+    target's domain at the path's endpoint), over the (optionally closed)
+    truncated unravelling ``dense``.  A path's map is built from its
+    parent's the first time it is looked up, the way ``pipeline.PointPaths``
+    builds f0 paths, so only the paths asked for and their ancestors get
+    one.
+
+    The assignment rule: the path's parent's classes keep their values; the
+    classes born at the path (``fresh_classes``; at the root, its whole
+    D-sharp domain), sorted, go to the sorted elements new at the path's
+    endpoint, one each, and the rest to the designated (least) element of
+    the parent's domain.  So a path's domain is its parent's plus its fresh
+    classes.  Those use every step of the path while each class of the
+    parent's domain has fewer base letters, so they are disjoint from the
+    parent's domain and are exactly the classes the path adds.
+
+    Set-up refuses an alphabet that is too small at some closed path,
+    counting its fresh classes (``fresh_count``) instead of listing them,
+    and makes ``phi0``, psi's frame part: each path to its endpoint, with
+    lifting promised at the interior paths."""
+
+    def __init__(self, space: EntangleSpace, target: PredKripkeFrame,
+                 dense: DenseFrame, max_sigma: int):
+        super().__init__()
+        frame = target.frame
+        if frame != space.frame:
+            raise ValueError("target must sit over the entangle base frame")
+        if dense.frame != frame:
+            raise ValueError("dense frame must sit over the target's base"
+                             " frame")
+        self.space, self.target, self.max_sigma = space, target, max_sigma
+        self.closed = closed = dense.closed_unravelling()
+        self.phi0 = KripkeMorphism(closed, frame,
+                                   {p: p[-1] for p in closed.worlds},
+                                   interior=dense.interior_paths())
+        # the number of classes born at a path of each length
+        fresh = self.fresh_counts = [
+            fresh_count(n, len(space.sigma2), max_sigma)
+            for n in range(max(map(len, closed.worlds)))]
+        fresh[0] += 1  # the root's domain also holds the empty class
+        short = [p for p in closed.worlds
+                 if fresh[len(p) - 1] < len(_new(target.domain, p))]
+        if short:
+            path = min(short, key=lambda p: (len(p), p))
+            raise ValueError(
+                f"alphabet too small: {fresh[len(path) - 1]} fresh classes"
+                f" cannot cover {len(_new(target.domain, path))} new elements"
+                f" at {path!r}")
+
+    def __missing__(self, path):
+        if path not in self.closed.worlds:
+            raise KeyError(path)
+        if len(path) == 1:
+            inherited = {}
+            fresh = dsharp(self.space, path, self.max_sigma)
+            home = path[-1]
+        else:
+            inherited = self[path[:-1]]
+            fresh = fresh_classes(self.space, path[1:], self.max_sigma)
+            home = path[-2]
+        targets = sorted(_new(self.target.domain, path))
+        designated = min(self.target.domain(home))
+        assignment = dict(inherited)
+        for i, cls in enumerate(sorted(fresh)):
+            assignment[cls] = targets[i] if i < len(targets) else designated
+        self[path] = assignment
+        return assignment
+
+
+def _new(domain, path) -> frozenset:
+    """The elements of the domain at the path's endpoint that its parent's
+    endpoint lacks (all of the root's)."""
+    if len(path) == 1:
+        return domain(path[-1])
+    return domain(path[-1]) - domain(path[-2])
+
+
+def fresh_count(steps: int, letters: int, max_sigma: int) -> int:
+    """len(fresh_classes) at a path of ``steps`` steps over ``letters``
+    domain letters: with k letters, the last closes the word and the other
+    k - 1 fall into the steps + 1 gaps around the steps, C(steps + k - 1,
+    k - 1) ways, each letter one of ``letters``."""
+    return sum(math.comb(steps + k - 1, k - 1) * letters ** k
+               for k in range(1, max_sigma + 1))
+
+
+def check_psi_maps(phi1: PsiMaps, paths) -> Verdict:
+    """psi's domain-map conditions at ``paths`` and their ancestors: each
+    map is total on the path's D-sharp domain, into and onto the target's
+    domain at the path's endpoint, and extends the map at the source of
+    every closed edge into the path.  Closure edges run from an ancestor to
+    a descendant, so that source is a checked path too.  Only maps already
+    built are read: a checked path without one fails as missing."""
+    checked = sorted({p[:i] for p in paths for i in range(1, len(p) + 1)},
+                     key=lambda p: (len(p), p))
+    # D-sharp at each checked path as ``dsharp`` defines it, grown along
+    # the tree order (the parent's domain plus the classes born at the
+    # path), which spares recounting each prefix's classes
+    space, max_sigma = phi1.space, phi1.max_sigma
+    domains = {}
+    for p in checked:
+        domains[p] = dsharp(space, p, max_sigma) if len(p) == 1 else \
+            domains[p[:-1]].union(fresh_classes(space, p[1:], max_sigma))
+    maps = check_domain_maps(phi1, checked, domains.__getitem__,
+                             lambda p: phi1.target.domain(p[-1]))
+    if not maps:
+        return maps
+    return check_agreement(phi1, [(u, v) for u, v in phi1.closed.relation
+                                  if v in domains])
+
+
 def build_psi(space: EntangleSpace, target: PredKripkeFrame,
               dense: DenseFrame, max_sigma: int = 2) -> PredKKMorphism:
-    """Surjections from the D-sharp domains of the (optionally closed)
-    truncated unravelling ``dense`` onto the target's expanding domains,
-    built along the tree order; overflow classes land on a designated
-    element of the parent's image.  Closure edges inherit agreement
-    automatically because they point from ancestors to descendants.
-
-    The domains grow along the same order: a path's domain is its parent's
-    plus the classes born at the path (``fresh_classes``).  Those use every
-    step of the path while each class of the parent's domain has fewer base
-    letters, so the fresh classes are disjoint from the parent's domain and
-    are exactly the classes the path adds."""
-    frame = target.frame
-    if frame != space.frame:
-        raise ValueError("target must sit over the entangle base frame")
-    if dense.frame != frame:
-        raise ValueError("dense frame must sit over the target's base frame")
-    closed = dense.closed_unravelling()
-
-    domains = {}
-    phi1 = {}
-    for path in sorted(closed.worlds, key=lambda p: (len(p), p)):
-        w = path[-1]
-        if len(path) == 1:
-            domains[path] = dsharp(space, path, max_sigma)
-            fresh = sorted(domains[path])
-            targets = sorted(target.domain(w))
-            inherited = {}
-            parent_designated = targets[0]
-        else:
-            parent = path[:-1]
-            fresh = sorted(fresh_classes(space, path[1:], max_sigma))
-            domains[path] = domains[parent].union(fresh)
-            targets = sorted(target.domain(w) - target.domain(parent[-1]))
-            inherited = phi1[parent]
-            parent_designated = sorted(target.domain(parent[-1]))[0]
-        if len(fresh) < len(targets):
-            raise ValueError(
-                f"alphabet too small: {len(fresh)} fresh classes cannot"
-                f" cover {len(targets)} new elements at {path!r}")
-        assignment = dict(inherited)
-        for i, cls in enumerate(fresh):
-            assignment[cls] = targets[i] if i < len(targets) else parent_designated
-        phi1[path] = assignment
-
-    source = PredKripkeFrame(closed, domains)
-    phi0 = KripkeMorphism(closed, frame, {p: p[-1] for p in closed.worlds},
-                          interior=dense.interior_paths())
-    morphism = PredKKMorphism(source, target, phi0, phi1)
+    """The whole psi: the surjections of ``PsiMaps`` from the D-sharp
+    domains of the (optionally closed) truncated unravelling ``dense`` onto
+    the target's expanding domains, at every closed path, checked by
+    ``check_kk_morphism``.  The pipeline builds the maps only at the paths
+    eta reads and checks them there (``check_psi_maps``); criterion 6 and
+    the tests take the whole morphism."""
+    phi1 = PsiMaps(space, target, dense, max_sigma)
+    for path in phi1.closed.worlds:
+        phi1[path]
+    source = PredKripkeFrame(phi1.closed,
+                             {p: frozenset(m) for p, m in phi1.items()})
+    morphism = PredKKMorphism(source, target, phi1.phi0, dict(phi1))
     verdict = check_kk_morphism(morphism)
     if not verdict:
         raise AssertionError(f"psi construction failed its own check:"
                              f" {verdict.condition} {verdict.witness}")
     return morphism
-

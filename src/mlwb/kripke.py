@@ -53,6 +53,16 @@ class KripkeFrame:
         return self.root is not None and reachable(self, self.root) == self.worlds
 
 
+def successor_map(frame: KripkeFrame) -> dict:
+    """World -> its successors, for every world with one: one scan of the
+    relation, for callers that ask for many worlds' successors (a frame
+    keeps no index of its own, since most frames are asked a few times)."""
+    out: dict = {}
+    for u, v in frame.relation:
+        out.setdefault(u, set()).add(v)
+    return out
+
+
 def reachable(frame: KripkeFrame, w) -> frozenset:
     """R*-reachable set of ``w`` (including ``w``)."""
     seen = {w}
@@ -183,9 +193,11 @@ def check_pmorphism(f: KripkeMorphism) -> Verdict:
     for u, v in src.relation:
         if (fmap[u], fmap[v]) not in tgt.relation:
             return Verdict(False, "monotonicity", (u, v))
+    src_succ, tgt_succ = successor_map(src), successor_map(tgt)
     for w in f.lifting_points():
-        for v2 in tgt.successors(fmap[w]):
-            if not any(fmap[v] == v2 for v in src.successors(w)):
+        lifted = {fmap[v] for v in src_succ.get(w, ())}
+        for v2 in tgt_succ.get(fmap[w], ()):
+            if v2 not in lifted:
                 return Verdict(False, "lifting", (w, v2))
     return Verdict(True)
 

@@ -2,10 +2,12 @@
 countermodel to a certified refutation on the constant-domain dense side.
 
 Stages: validate the scenario, build the (Gamma-closed) truncated
-unravelling with its D-sharp domains, construct psi, pull the valuation
-back along the composed morphism and evaluate the target formula at the
-all-stops point of the dense frame, then check the (f0, xi) morphism and
-the composition at the points that evaluation visited.
+unravelling, set up psi (refuse a too small domain alphabet at every
+closed path and check psi's frame part, each path to its endpoint, as a
+p-morphism of the whole closed unravelling), pull the valuation back along
+the composed morphism and evaluate the target formula at the all-stops
+point of the dense frame, then check the (f0, xi) morphism and the
+composition at the points that evaluation visited.
 
 Dense-side predicate evaluation is the one predicate evaluator,
 ``predicate.PredEvaluator``, over the hooks of ``DenseEvaluator``; it works
@@ -26,7 +28,10 @@ used them: at each ``forall`` point the class table covers the D-sharp
 classes and eta maps its words onto the local domain; at each box point the
 extensions used are exactly the closed successors of the point's path; at
 each atom eta gives the word the element it gives at the variable's binding
-point.
+point; and psi's domain maps satisfy the morphism conditions at the paths
+eta read and their ancestors.  psi's domains grow along the tree order, so
+a path's map needs only its ancestors' maps: ``entangle.PsiMaps`` builds a
+map the first time eta reads it, and no other map is built.
 
 Each point is validated once per scenario (``PointPaths``) and each (point,
 word) pair classified by xi once (``XiClasses``); the class tables, eta and
@@ -41,10 +46,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dense import DenseFrame, STOP, canonical, f0, restrict, st
-from .entangle import EntangleSpace, build_psi, class_table, \
+from .entangle import EntangleSpace, PsiMaps, check_psi_maps, class_table, \
     enumerate_dstar, xi, xi_surjectivity_check
 from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
-from .kripke import BudgetExceeded, EvaluationError, parse_frame
+from .kripke import BudgetExceeded, EvaluationError, check_pmorphism, \
+    parse_frame
 from .predicate import PredEvaluator, PredKripkeFrame, PredKripkeModel, \
     Undecided, eval_pred_kripke, parse_domains, parse_pred_valuation
 from .syntax import Atom, horn_to_text, keyed_lines, only_line, parse_pred, \
@@ -179,6 +185,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
     frame = s.pframe.frame
     paths = PointPaths(frame)
     classes = XiClasses(s.space)
+    read = set()  # the f0 paths at which eta read psi's domain map
     ctx = {}
 
     def validate():
@@ -197,13 +204,16 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "interior": len(df.interior_paths())}
 
     def psi_stage():
-        psi = build_psi(s.space, s.pframe, ctx["df"], max_sigma=s.max_sigma)
-        ctx["psi"] = psi
-        return {"source_paths": len(psi.source.frame.worlds),
-                "classes_at_root": len(psi.source.domain((frame.root,)))}
+        phi1 = ctx["phi1"] = PsiMaps(s.space, s.pframe, ctx["df"], s.max_sigma)
+        verdict = check_pmorphism(phi1.phi0)
+        if not verdict:
+            return {"ok": False, "condition": verdict.condition,
+                    "witness": verdict.witness}
+        return {"source_paths": len(phi1.closed.worlds),
+                "classes_at_root": phi1.fresh_counts[0]}
 
     def evaluation_stage():
-        eta = make_eta(classes, ctx["psi"], s.pframe, paths)
+        eta = make_eta(classes, ctx["phi1"], s.pframe, paths, read)
         ev = DenseEvaluator(ctx["df"], classes, eta, s.model, s.max_sigma,
                             paths)
         value = ev.eval((), s.formula, {})
@@ -256,6 +266,11 @@ def run_pipeline(s: Scenario) -> PipelineReport:
             if ev.eta(beta, gamma) != ev.eta(bound, gamma):
                 loc_fail = (bound, beta, gamma)
                 break
+        # after the last eta call, so every map eta read is checked
+        maps = check_psi_maps(ctx["phi1"], read)
+        if not maps:
+            return {"ok": False, "stage": "psi-domain-maps",
+                    "condition": maps.condition, "witness": maps.witness}
         return {"ok": surj_fail is None and loc_fail is None,
                 "eta_surjectivity_failure": surj_fail,
                 "eta_locality_failure": loc_fail,
@@ -332,25 +347,28 @@ class ClassTables(dict):
         return table
 
 
-def make_eta(classes: XiClasses, psi, pframe: PredKripkeFrame,
-             paths: PointPaths):
+def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
+             paths: PointPaths, read: set):
     """The composite domain map: a point (a stop word over the base frame)
     and a constant-domain stop word go to an element of the target domain at
-    the point's endpoint, via the class of their interleaving.  Classes with
-    more domain letters than the truncated assignments carry land on the
-    designated element of the parent domain of the path they were born at,
-    matching the overflow rule of the psi construction.  ``classes`` is the
-    scenario's memo of those classes, shared with its class tables, and
-    ``paths`` its map from points to f0 paths."""
+    the point's endpoint, via the class of their interleaving and psi's
+    domain map at the point's f0 path.  Classes with more domain letters
+    than the truncated assignments carry land on the designated element of
+    the parent domain of the path they were born at, matching the overflow
+    rule of the psi construction.  ``classes`` is the scenario's memo of
+    those classes, shared with its class tables, ``phi1`` psi's lazily
+    built domain maps, ``paths`` the map from points to f0 paths, and
+    ``read`` collects each f0 path whose map eta read."""
     space = classes.space
     frame = space.frame
 
     def eta(alpha, gamma):
         path = paths[alpha]
-        mapping = psi.phi1.get(path)
-        if mapping is None:
+        if path not in phi1.closed.worlds:
             raise BudgetExceeded(
                 f"point {alpha!r} lies outside the truncated unravelling")
+        read.add(path)
+        mapping = phi1[path]
         cls = classes[alpha, gamma]
         if cls in mapping:
             return mapping[cls]

@@ -265,16 +265,21 @@ def check_kk_morphism(m: PredKKMorphism) -> Verdict:
     base = check_pmorphism(m.phi0)
     if not base:
         return base
-    maps = _check_domain_maps(m.phi1, m.source.frame.worlds, m.source.domain,
-                              lambda w: m.target.domain(m.phi0.map[w]))
+    maps = check_domain_maps(m.phi1, m.source.frame.worlds, m.source.domain,
+                             lambda w: m.target.domain(m.phi0.map[w]))
     if not maps:
         return maps
-    for u, v in m.source.frame.relation:
-        if m.phi1[u].items() <= m.phi1[v].items():
+    return check_agreement(m.phi1, m.source.frame.relation)
+
+
+def check_agreement(phi1: dict, edges) -> Verdict:
+    """Along each edge (u, v), the map at v extends the map at u."""
+    for u, v in edges:
+        if phi1[u].items() <= phi1[v].items():
             continue
-        # a failing pair: walk the domain only to name the witness
-        for d in m.source.domain(u):
-            if m.phi1[v][d] != m.phi1[u][d]:
+        # a failing pair: walk the map only to name the witness
+        for d, e in phi1[u].items():
+            if phi1[v].get(d) != e:
                 return Verdict(False, "domain-map-disagreement", (u, v, d))
     return Verdict(True)
 
@@ -299,8 +304,8 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
     base = check_n_pmorphism(NMorphism(m.space, target_nf, dict(m.phi0)))
     if not base:
         return base
-    maps = _check_domain_maps(m.phi1, m.space.points, lambda x: m.dstar,
-                              lambda x: m.target.domain(m.phi0[x]))
+    maps = check_domain_maps(m.phi1, m.space.points, lambda x: m.dstar,
+                             lambda x: m.target.domain(m.phi0[x]))
     if not maps:
         return maps
     for x in m.space.points:
@@ -311,7 +316,7 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
     return Verdict(True)
 
 
-def _check_domain_maps(phi1: dict, points, domain_at, codomain_at) -> Verdict:
+def check_domain_maps(phi1: dict, points, domain_at, codomain_at) -> Verdict:
     """At each point, phi1 maps the point's domain onto the codomain at the
     point's image."""
     for x in points:

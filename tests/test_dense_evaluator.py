@@ -9,7 +9,7 @@ import pytest
 
 from mlwb.dense import STOP, DenseFrame, canonical, enumerate_canonical, f0, \
     padded_words, restrict, st
-from mlwb.entangle import build_psi, enumerate_dstar, xi
+from mlwb.entangle import PsiMaps, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
 from mlwb.pipeline import DenseEvaluator, PointPaths, XiClasses, make_eta, \
@@ -189,10 +189,10 @@ def _longest_path(edges, i):
 def evaluators(s, j_max):
     df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth,
                     j_max=j_max)
-    psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
+    phi1 = PsiMaps(s.space, s.pframe, df, s.max_sigma)
     paths = PointPaths(df.frame)
     classes = XiClasses(s.space)
-    eta = make_eta(classes, psi, s.pframe, paths)
+    eta = make_eta(classes, phi1, s.pframe, paths, set())
     return DenseEvaluator(df, classes, eta, s.model, s.max_sigma, paths), \
         WindowEvaluator(df, eta, s.model, s.max_sigma, s.sigma2, paths,
                         gamma=s.gamma)

@@ -8,8 +8,8 @@ from mlwb.horn import parse_horn_theory
 from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
     EntangleSpace, build_psi, canonicalize, decompositions, dsharp,
-    entangle_enumerate, equiv, equiv_bruteforce, fiber, h, is_entangled, p1,
-    p2, t, xi,
+    entangle_enumerate, equiv, equiv_bruteforce, fiber, fresh_classes,
+    fresh_count, h, is_entangled, p1, p2, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
 from mlwb.pipeline import ClassTables, XiClasses, parse_scenario
@@ -296,6 +296,18 @@ class TestXi:
         for gamma in [("x",), (STOP, "y"), ("x", STOP, "y", STOP)]:
             cls = xi(sp, alpha, gamma)
             assert cls in dsharp(sp, path, 3)
+
+
+@pytest.mark.parametrize("letters", [1, 2, 3])
+def test_fresh_count_counts_the_fresh_classes(letters):
+    """The closed form behind the alphabet-size refusal, against the
+    enumeration, for paths of up to 4 steps."""
+    sp = chain_space(5, sigma=("x", "y", "z")[:letters])
+    steps = ("w1", "w2", "w3", "w4")
+    for n in range(len(steps) + 1):
+        for max_sigma in (1, 2, 3):
+            want = len(fresh_classes(sp, steps[:n], max_sigma))
+            assert fresh_count(n, letters, max_sigma) == want, (n, max_sigma)
 
 
 class TestBuildPsi:

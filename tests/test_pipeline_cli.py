@@ -1,14 +1,18 @@
 import dataclasses
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from mlwb.cli import main
-from mlwb.dense import DenseFrame
+from mlwb.dense import DenseFrame, f0
+from mlwb.entangle import PsiMaps, build_psi
 from mlwb.horn import parse_horn_theory
 from mlwb.pipeline import parse_scenario, render_report, run_pipeline
+from mlwb.predicate import check_kk_morphism
 from mlwb.syntax import parse_pred, universal_closure
+from test_dense_evaluator import TEMPLATES, random_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -323,6 +327,144 @@ class TestRecordedPointChecks:
         assert detail["eta_surjectivity_failure"] is None
         bound, beta, _ = detail["eta_locality_failure"]
         assert bound == () and beta != ()
+
+
+def _record_psi(monkeypatch) -> dict:
+    """Wraps make_eta so that each run leaves psi's lazily built domain maps
+    under "phi1", the pipeline's own record of the paths eta read under
+    "read", and, taken here, the f0 path of every point eta is asked about
+    under "asked"."""
+    import mlwb.pipeline as pipeline
+    make_eta = pipeline.make_eta
+    seen = {}
+
+    def recording(classes, phi1, pframe, paths, read):
+        asked = set()
+        seen.update(phi1=phi1, read=read, asked=asked)
+        eta = make_eta(classes, phi1, pframe, paths, read)
+
+        def recorded(alpha, gamma):
+            asked.add(f0(alpha, pframe.frame))
+            return eta(alpha, gamma)
+        return recorded
+    monkeypatch.setattr(pipeline, "make_eta", recording)
+    return seen
+
+
+def _with_ancestors(paths) -> set:
+    return {p[:i] for p in paths for i in range(1, len(p) + 1)}
+
+
+def _generated_scenarios(kind: str) -> list:
+    rng = random.Random(f"whole-psi-{kind}")
+    return [parse_scenario(random_scenario(rng, kind, formula, max_worlds,
+                                           max_j), kind)
+            for formula, max_worlds, max_j in TEMPLATES]
+
+
+THIN_ALPHABET = """[frame]
+worlds u v w
+root u
+edges u->v u->w
+[domains]
+domain u = {d}
+domain v = {d}
+domain w = {d, e, f, g}
+[valuation]
+val P @ u = {(d)}
+val P @ v = {(d)}
+val P @ w = {(d)}
+[formula]
+forall x. P(x)
+[bounds]
+depth = 3
+max_sigma = 1
+"""
+
+
+BUNDLED = ["barcan-two-chain", "transitive-three-chain", "degenerate-point"]
+
+
+class TestPsiOnDemand:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_maps_built_only_where_eta_read(self, monkeypatch, name):
+        """psi's domain maps are built at the paths eta read and at their
+        ancestors, and nowhere else, and the report is unchanged."""
+        seen = _record_psi(monkeypatch)
+        s = parse_scenario((SCENARIOS / f"{name}.scn").read_text(), name)
+        report = _strip_times(render_report(run_pipeline(s)))
+        assert report == (GOLDEN / f"{name}.report").read_text()
+        assert seen["read"] == seen["asked"]
+        assert set(seen["phi1"]) == _with_ancestors(seen["asked"])
+
+    @pytest.mark.parametrize("name", BUNDLED + ["tree", "dag", "loop"])
+    def test_lazy_maps_are_the_whole_psi(self, monkeypatch, name):
+        """On the bundled scenarios (the transitive three-chain under its
+        Gamma among them) and on generated ones, the whole psi passes
+        check_kk_morphism, and the maps the pipeline built where eta read
+        are the whole psi's maps there."""
+        if name in BUNDLED:
+            scenarios = [parse_scenario(
+                (SCENARIOS / f"{name}.scn").read_text(), name)]
+        else:
+            scenarios = _generated_scenarios(name)
+        seen = _record_psi(monkeypatch)
+        read = 0
+        for s in scenarios:
+            run_pipeline(s)
+            df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth)
+            psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
+            assert check_kk_morphism(psi)
+            for path in seen["read"]:
+                assert seen["phi1"][path] == psi.phi1[path], path
+            read += len(seen["read"])
+        assert read > 0 or name == "degenerate-point"
+
+    def test_alphabet_too_small_where_eta_never_reads(self, monkeypatch):
+        """One letter per class cannot cover the three elements new at w,
+        and the refusal holds although eta reads only the root's path."""
+        report = run_pipeline(parse_scenario(THIN_ALPHABET, "thin"))
+        stages = {stage.name: stage for stage in report.stages}
+        assert not report.ok and not stages["psi-morphism"].ok
+        assert "alphabet too small" in stages["psi-morphism"].detail["error"]
+        assert "('u', 'w')" in stages["psi-morphism"].detail["error"]
+        seen = _record_psi(monkeypatch)
+        wide = THIN_ALPHABET + "dalphabet = {1, 2, 3, 4}\n"
+        assert run_pipeline(parse_scenario(wide, "wide")).ok
+        assert seen["read"] == {("u",)}
+
+    @pytest.mark.parametrize("condition, change", [
+        # every class at v to d, so e is not hit
+        ("domain-map-not-surjective",
+         lambda m: m.update(dict.fromkeys(m, "d"))),
+        ("domain-map-not-into", lambda m: m.update({(): "zz"})),
+        ("domain-map-not-total", lambda m: m.pop(())),
+        # the empty class, d at the root, to e at v, which stays onto
+        ("domain-map-disagreement", lambda m: m.update({(): "e"})),
+    ])
+    def test_broken_map_at_a_read_path_fails(self, monkeypatch, condition,
+                                             change):
+        """A domain map broken at v, a path eta reads, fails the run in the
+        composition stage, which names the condition and, in its witness,
+        the path."""
+        build = PsiMaps.__missing__
+
+        def broken(self, path):
+            out = build(self, path)
+            if path == ("u", "v"):
+                change(out)
+            return out
+        monkeypatch.setattr(PsiMaps, "__missing__", broken)
+        seen = _record_psi(monkeypatch)
+        report = run_pipeline(parse_scenario(BARCAN, "barcan"))
+        assert ("u", "v") in seen["read"]
+        stages = {stage.name: stage for stage in report.stages}
+        assert not report.ok and not stages["composition"].ok
+        detail = stages["composition"].detail
+        assert detail["stage"] == "psi-domain-maps"
+        assert detail["condition"] == condition
+        assert ("u", "v") in detail["witness"]
+        assert f"  condition: {condition}\n" in render_report(report)
 
 
 class TestCli:
