@@ -80,38 +80,21 @@ def entangle_enumerate(space: EntangleSpace, max_len: int) -> list:
                                  if is_entangled(space, w + (a,))], max_len)
 
 
-def fiber(space: EntangleSpace, path: tuple, max_len: int) -> list:
-    """All entangled words of length <= max_len with p1 exactly ``path``
-    (the path taken against the domain alphabet)."""
-    if not _is_path(space.frame, path):
-        raise ValueError(f"not a rooted path: {path!r}")
-    steps = path[1:]
-    out = []
-    for total in range(len(steps), max_len + 1):
-        out.extend(_interleave(steps, space.sigma2, total - len(steps),
-                               False))
-    return out
-
-
-def _interleave(steps, sigma2, k: int, ends_in_letter: bool) -> list:
+def _interleave(steps, sigma2, k: int) -> list:
     """Words of the ``steps`` in order with ``k`` letters of ``sigma2``
-    placed among them, the last place going to a letter if
-    ``ends_in_letter``.  The letters cut the steps into runs: each choice
-    of cut points is extended by every letter after every run."""
+    placed among them, the last place going to a letter.  The letters cut
+    the steps into runs: each choice of cut points is extended by every
+    letter after every run."""
     n = len(steps)
     out = []
-    free = k - 1 if ends_in_letter else k
-    for cuts in itertools.combinations_with_replacement(range(n + 1), free):
-        if ends_in_letter:
-            cuts += (n,)
+    for cuts in itertools.combinations_with_replacement(range(n + 1), k - 1):
         words = [()]
         start = 0
-        for cut in cuts:
+        for cut in cuts + (n,):
             run = steps[start:cut]
             words = [w + run + (c,) for w in words for c in sigma2]
             start = cut
-        tail = steps[start:]
-        out += [w + tail for w in words] if tail else words
+        out += words
     return out
 
 
@@ -186,7 +169,7 @@ def fresh_classes(space: EntangleSpace, steps: tuple, max_sigma: int) -> list:
     of ``steps`` with 1..max_sigma domain letters, ending in a domain
     letter."""
     return [word for k in range(1, max_sigma + 1)
-            for word in _interleave(steps, space.sigma2, k, True)]
+            for word in _interleave(steps, space.sigma2, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +392,14 @@ def fresh_count(steps: int, letters: int, max_sigma: int) -> int:
                for k in range(1, max_sigma + 1))
 
 
-def check_psi_maps(phi1: PsiMaps, paths) -> Verdict:
-    """psi's domain-map conditions at ``paths`` and their ancestors: each
-    map is total on the path's D-sharp domain, into and onto the target's
-    domain at the path's endpoint, and extends the map at the source of
-    every closed edge into the path.  Closure edges run from an ancestor to
-    a descendant, so that source is a checked path too.  Only maps already
-    built are read: a checked path without one fails as missing."""
-    checked = sorted({p[:i] for p in paths for i in range(1, len(p) + 1)},
-                     key=lambda p: (len(p), p))
+def check_psi_maps(phi1: PsiMaps) -> Verdict:
+    """psi's domain-map conditions at every path ``phi1`` holds a map for:
+    each map is total on the path's D-sharp domain, into and onto the
+    target's domain at the path's endpoint, and extends the map at the
+    source of every closed edge into the path.  A path's map is built after
+    its parent's, so those paths hold every ancestor of a checked path,
+    among them the source of each closure edge into it."""
+    checked = sorted(phi1, key=lambda p: (len(p), p))
     # D-sharp at each checked path as ``dsharp`` defines it, grown along
     # the tree order (the parent's domain plus the classes born at the
     # path), which spares recounting each prefix's classes

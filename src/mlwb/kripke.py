@@ -180,16 +180,29 @@ class KripkeMorphism:
         return self.source.worlds if self.interior is None else self.interior
 
 
+def check_surjection(fmap: dict, points: frozenset,
+                     targets: frozenset) -> Verdict:
+    """The point map of a morphism is total on ``points``, into ``targets``
+    and onto them."""
+    missing = points - set(fmap)
+    if missing:
+        return Verdict(False, "totality", (sorted(missing, key=repr)[0],))
+    image = {fmap[x] for x in points}
+    if not image <= targets:
+        x = min((x for x in points if fmap[x] not in targets), key=repr)
+        return Verdict(False, "into", (x, fmap[x]))
+    if image != targets:
+        return Verdict(False, "surjectivity",
+                       (sorted(targets - image, key=repr)[0],))
+    return Verdict(True)
+
+
 def check_pmorphism(f: KripkeMorphism) -> Verdict:
     """Check surjectivity, monotonicity, and lifting (at lifting points)."""
     fmap, src, tgt = f.map, f.source, f.target
-    missing = src.worlds - set(fmap)
-    if missing:
-        return Verdict(False, "totality", (sorted(missing, key=repr)[0],))
-    image = {fmap[w] for w in src.worlds}
-    if image != tgt.worlds:
-        return Verdict(False, "surjectivity",
-                       (sorted(tgt.worlds - image, key=repr)[0],))
+    onto = check_surjection(fmap, src.worlds, tgt.worlds)
+    if not onto:
+        return onto
     for u, v in src.relation:
         if (fmap[u], fmap[v]) not in tgt.relation:
             return Verdict(False, "monotonicity", (u, v))
@@ -211,40 +224,55 @@ def pullback_valuation(f, valuation: dict) -> dict:
 
 def truth_preservation_test(f: KripkeMorphism, samples: int = 1000,
                             seed: int = 0) -> dict:
-    """Sampled check of the truth-transfer biconditional for a verified morphism.
-
-    For random (target valuation, formula of modal depth <= 3, point) triples,
-    evaluates on both sides with the pullback valuation on the source.
-    """
-    return sample_truth_preservation(f, check_pmorphism, eval_kripke,
-                                     KripkeModel, f.target.worlds,
-                                     f.lifting_points(), samples, seed)
+    """Sampled check of the truth-transfer biconditional for a verified
+    morphism, at its lifting points."""
+    return sample_truth_preservation(
+        check_pmorphism(f), f.map, f.lifting_points(),
+        letter_draw(f, KripkeModel, f.target.worlds), truth_set,
+        samples, seed)
 
 
-def sample_truth_preservation(f, check, evaluate, model, target_points,
-                              source_points, samples: int, seed: int) -> dict:
-    """The sampler behind both truth-preservation tests: ``check`` verifies
-    ``f`` first, ``evaluate`` and ``model`` give the semantics, and points
-    are drawn from ``source_points``."""
-    verdict = check(f)
+def letter_draw(f, model, target_points):
+    """A ``draw`` for a Kripke or a neighbourhood morphism ``f``: a random
+    valuation of p and q on the target, its pullback on the source, and a
+    random formula of modal depth <= 3; ``model`` makes the models."""
+    target_points = sorted(target_points, key=repr)
+
+    def draw(rng):
+        val = {p: frozenset(w for w in target_points if rng.random() < 0.5)
+               for p in ("p", "q")}
+        return (model(f.source, pullback_valuation(f, val)),
+                model(f.target, val), random_formula(rng, ["p", "q"], depth=3))
+    return draw
+
+
+def sample_truth_preservation(verdict: Verdict, point_map: dict, points,
+                              draw, truth_set, samples: int,
+                              seed: int) -> dict:
+    """The one truth-preservation sampler, for every kind of morphism.
+
+    ``verdict`` is the morphism's own check, ``point_map`` its map on
+    points and ``points`` those where it promises to preserve truth.  Each
+    of ``samples`` draws, ``draw(rng) -> (source model, target model,
+    formula)``, passes when the formula's truth set on the source (by the
+    semantics' ``truth_set``) and the preimage of its truth set on the
+    target agree at every one of ``points``.  A failure names the first
+    point where they differ and the formula."""
     if not verdict:
-        raise ValueError(f"morphism not verified: {verdict.condition}")
+        raise ValueError(f"morphism not verified: {verdict.condition}"
+                         f" {verdict.witness}")
     rng = random.Random(seed)
-    tgt_points = sorted(target_points, key=repr)
-    src_points = sorted(source_points, key=repr)
+    points = sorted(points, key=repr)
     passed = 0
     failures = []
     for _ in range(samples):
-        val = {p: frozenset(w for w in tgt_points if rng.random() < 0.5)
-               for p in ("p", "q")}
-        a = random_formula(rng, ["p", "q"], depth=3)
-        x = rng.choice(src_points)
-        left = evaluate(model(f.source, pullback_valuation(f, val)), x, a)
-        right = evaluate(model(f.target, val), f.map[x], a)
-        if left == right:
+        source, target, a = draw(rng)
+        left, right = truth_set(source, a), truth_set(target, a)
+        wrong = [x for x in points if (x in left) != (point_map[x] in right)]
+        if not wrong:
             passed += 1
         elif len(failures) < 5:
-            failures.append((x, a, val))
+            failures.append((wrong[0], a))
     return {"samples": samples, "passed": passed, "failures": failures}
 
 

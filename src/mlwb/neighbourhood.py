@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
-    sample_truth_preservation
+    check_surjection, letter_draw, sample_truth_preservation
 from .syntax import Box, Falsum, Formula, Implies, Letter, directives, \
     keyed_lines, names, parse_sets
 
@@ -103,13 +103,9 @@ def check_n_pmorphism(f: NMorphism) -> Verdict:
     zag on each base member of f(x).
     """
     fmap, src, tgt = f.map, f.source, f.target
-    missing = src.points - set(fmap)
-    if missing:
-        return Verdict(False, "totality", (sorted(missing, key=repr)[0],))
-    image = {fmap[x] for x in src.points}
-    if image != tgt.points:
-        return Verdict(False, "surjectivity",
-                       (sorted(tgt.points - image, key=repr)[0],))
+    onto = check_surjection(fmap, src.points, tgt.points)
+    if not onto:
+        return onto
     for x in sorted(src.points, key=repr):
         for u in src.base[x]:
             fu = frozenset(fmap[y] for y in u)
@@ -128,9 +124,9 @@ def n_morphism_from_kripke(f: KripkeMorphism) -> NMorphism:
 
 def n_truth_preservation_test(f: NMorphism, samples: int = 1000,
                               seed: int = 0) -> dict:
-    return sample_truth_preservation(f, check_n_pmorphism, eval_nbhd, NModel,
-                                     f.target.points, f.source.points,
-                                     samples, seed)
+    return sample_truth_preservation(
+        check_n_pmorphism(f), f.map, f.source.points,
+        letter_draw(f, NModel, f.target.points), truth_set, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,6 @@ def run_pipeline(s: Scenario) -> PipelineReport:
     frame = s.pframe.frame
     paths = PointPaths(frame)
     classes = XiClasses(s.space)
-    read = set()  # the f0 paths at which eta read psi's domain map
     ctx = {}
 
     def validate():
@@ -213,7 +212,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "classes_at_root": phi1.fresh_counts[0]}
 
     def evaluation_stage():
-        eta = make_eta(classes, ctx["phi1"], s.pframe, paths, read)
+        eta = make_eta(classes, ctx["phi1"], s.pframe, paths)
         ev = DenseEvaluator(ctx["df"], classes, eta, s.model, s.max_sigma,
                             paths)
         value = ev.eval((), s.formula, {})
@@ -267,7 +266,7 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 loc_fail = (bound, beta, gamma)
                 break
         # after the last eta call, so every map eta read is checked
-        maps = check_psi_maps(ctx["phi1"], read)
+        maps = check_psi_maps(ctx["phi1"])
         if not maps:
             return {"ok": False, "stage": "psi-domain-maps",
                     "condition": maps.condition, "witness": maps.witness}
@@ -348,7 +347,7 @@ class ClassTables(dict):
 
 
 def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
-             paths: PointPaths, read: set):
+             paths: PointPaths):
     """The composite domain map: a point (a stop word over the base frame)
     and a constant-domain stop word go to an element of the target domain at
     the point's endpoint, via the class of their interleaving and psi's
@@ -357,8 +356,7 @@ def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
     the parent domain of the path they were born at, matching the overflow
     rule of the psi construction.  ``classes`` is the scenario's memo of
     those classes, shared with its class tables, ``phi1`` psi's lazily
-    built domain maps, ``paths`` the map from points to f0 paths, and
-    ``read`` collects each f0 path whose map eta read."""
+    built domain maps and ``paths`` the map from points to f0 paths."""
     space = classes.space
     frame = space.frame
 
@@ -367,7 +365,6 @@ def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
         if path not in phi1.closed.worlds:
             raise BudgetExceeded(
                 f"point {alpha!r} lies outside the truncated unravelling")
-        read.add(path)
         mapping = phi1[path]
         cls = classes[alpha, gamma]
         if cls in mapping:

@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass
 
 from .kripke import EvaluationError, KripkeFrame, KripkeMorphism, Verdict, \
-    check_pmorphism
+    check_pmorphism, sample_truth_preservation
 from .neighbourhood import NFrame, NMorphism, check_n_pmorphism, nf_from_kripke
 from .syntax import (
     Atom, Box, Falsum, Forall, Implies, Formula, Var,
-    content_lines, keyed_lines, parse_pred, parse_set, term_scan, to_text,
-    universal_closure,
+    content_lines, keyed_lines, parse_pred, parse_set, term_scan,
 )
 
 PredFormula = Formula
@@ -91,8 +90,10 @@ class PredEvaluator:
             return value
         if isinstance(a, Forall):
             value = True
+            inner = dict(env)  # rebound per value, so no hook may keep it
             for d in self.binds(x):
-                v = self.eval(x, a.body, {**env, a.var: d})
+                inner[a.var] = d
+                v = self.eval(x, a.body, inner)
                 if v is False:
                     return False
                 if value is True:
@@ -116,9 +117,10 @@ class _FiniteModel(PredEvaluator):
         return self.holds(a.name, x, tuple([env[t.name] for t in a.args]))
 
     def holds(self, name: str, w, args: tuple) -> bool:
-        if name not in self.valuation:
+        per_point = self.valuation.get(name)
+        if per_point is None:
             raise EvaluationError(f"predicate {name!r} has no valuation entry")
-        return args in self.valuation[name].get(w, frozenset())
+        return args in per_point.get(w, ())
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +379,11 @@ def _arities(model: PredKripkeModel) -> dict:
 def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
                         n_vars: int = 2) -> PredFormula:
     """Closed random formula of modal depth <= depth over the given
-    predicate arities, <= n_vars quantified variables."""
+    predicate arities, <= n_vars quantified variables.  An atom takes only
+    variables in scope, and one with arguments outside any scope becomes
+    falsum, so the formula is closed as built."""
     variables = [f"x{i}" for i in range(n_vars)]
+    names = sorted(preds)
 
     def build(d, scope, budget):
         options = ["atom"]
@@ -390,7 +395,7 @@ def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
             options.append("atom")
         kind = rng.choice(options)
         if kind == "atom":
-            name = rng.choice(sorted(preds))
+            name = rng.choice(names)
             if not scope and preds[name] > 0:
                 return Falsum()
             args = tuple(Var(rng.choice(scope)) for _ in range(preds[name]))
@@ -405,33 +410,20 @@ def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
             return build(d, scope, budget - 1)
         return Forall(fresh, build(d - 1, scope + [fresh], budget - 1))
 
-    return universal_closure(build(depth, [], budget=6))
+    return build(depth, [], budget=6)
 
 
 def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
                                  samples: int = 200, seed: int = 0) -> dict:
     """Bidirectional truth preservation under the pulled-back valuation."""
     verdict = check_nk_morphism(m)
-    if not verdict:
-        raise ValueError(f"morphism fails: {verdict.condition} {verdict.witness}")
-    theta = pullback_nk(model, m)
+    # the pullback reads the maps that the verdict checks
+    pulled = pullback_nk(model, m) if verdict else None
     preds = _arities(model)
-    rng = random.Random(seed)
-    pool = [random_pred_formula(rng, preds) for _ in range(samples)]
-    points = sorted(m.space.points, key=repr)
-    checked = mismatches = 0
-    failures = []
-    for a in pool:
-        x = rng.choice(points)
-        left = eval_pred_nbhd(theta, x, a)
-        right = eval_pred_kripke(model, m.phi0[x], a)
-        checked += 1
-        if left != right:
-            mismatches += 1
-            if len(failures) < 5:
-                failures.append((to_text(a), x))
-    return {"checked": checked, "mismatches": mismatches,
-            "failures": failures, "ok": checked > 0 and mismatches == 0}
+    return sample_truth_preservation(
+        verdict, m.phi0, m.space.points,
+        lambda rng: (pulled, model, random_pred_formula(rng, preds)),
+        truth_set, samples, seed)
 
 
 # ---------------------------------------------------------------------------

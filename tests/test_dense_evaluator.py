@@ -187,15 +187,28 @@ def _longest_path(edges, i):
 
 
 def evaluators(s, j_max):
+    """The exact and the window evaluator over one eta, and a check that
+    psi's domain maps were built only where eta was asked, plus their
+    ancestors."""
     df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth,
                     j_max=j_max)
     phi1 = PsiMaps(s.space, s.pframe, df, s.max_sigma)
     paths = PointPaths(df.frame)
     classes = XiClasses(s.space)
-    eta = make_eta(classes, phi1, s.pframe, paths, set())
+    built = make_eta(classes, phi1, s.pframe, paths)
+    asked = set()
+
+    def eta(alpha, gamma):
+        value = built(alpha, gamma)
+        asked.add(paths[alpha])
+        return value
+
+    def built_where_asked():
+        return set(phi1) == {p[:i] for p in asked
+                             for i in range(1, len(p) + 1)}
     return DenseEvaluator(df, classes, eta, s.model, s.max_sigma, paths), \
         WindowEvaluator(df, eta, s.model, s.max_sigma, s.sigma2, paths,
-                        gamma=s.gamma)
+                        gamma=s.gamma), built_where_asked
 
 
 @pytest.mark.parametrize("kind", ["tree", "dag", "loop"])
@@ -207,9 +220,10 @@ def test_agrees_with_window_evaluator(kind):
             text = random_scenario(rng, kind, formula, max_worlds, max_j)
             s = parse_scenario(text, kind)
             j_max = int(re.search(r"^j_max = (\d+)$", text, re.M).group(1))
-            exact, window = evaluators(s, j_max)
+            exact, window, built_where_asked = evaluators(s, j_max)
             got = exact.eval((), s.formula, {})
             want, want_certified = window.eval((), s.formula, {})
+            assert built_where_asked(), text
             if want_certified:
                 assert got is want, text
             if isinstance(got, bool):

@@ -8,7 +8,7 @@ from mlwb.horn import parse_horn_theory
 from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
     EntangleSpace, build_psi, canonicalize, decompositions, dsharp,
-    entangle_enumerate, equiv, equiv_bruteforce, fiber, fresh_classes,
+    entangle_enumerate, equiv, equiv_bruteforce, fresh_classes,
     fresh_count, h, is_entangled, p1, p2, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
@@ -55,12 +55,6 @@ class TestSpace:
         assert words
         for w in words:
             assert is_entangled(sp, w)
-
-    def test_fiber_partitions_by_path(self):
-        sp = chain_space(3)
-        words = entangle_enumerate(sp, 4)
-        fib = fiber(sp, ("r", "w1"), 4)
-        assert set(fib) == {w for w in words if p1(sp, w) == ("r", "w1")}
 
 
 class TestWorkedVectors:

@@ -5,11 +5,11 @@ import pytest
 
 from mlwb.kripke import (
     BudgetExceeded, EvaluationError, KripkeFrame, KripkeModel, KripkeMorphism,
-    axiom_inclusion_formula, brute_validity, check_axiom_inclusion,
+    Verdict, axiom_inclusion_formula, brute_validity, check_axiom_inclusion,
     check_pmorphism, check_pretransitive, eval_kripke, format_frame,
-    parse_frame, parse_valuation, pretransitivity_formula, pullback_valuation,
-    random_formula, reachable, relation_power, truth_preservation_test,
-    truth_set, unravel,
+    letter_draw, parse_frame, parse_valuation, pretransitivity_formula,
+    pullback_valuation, random_formula, reachable, relation_power,
+    sample_truth_preservation, truth_preservation_test, truth_set, unravel,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, letters, neg, parse_prop
 
@@ -206,6 +206,13 @@ class TestMorphisms:
         assert not verdict
         assert verdict.witness is not None
 
+    def test_map_leaving_the_target_fails_into(self):
+        target = KripkeFrame(frozenset("x"), frozenset({("x", "x")}), "x")
+        f = KripkeMorphism(chain(2), target, {"w0": "x", "w1": "y"})
+        verdict = check_pmorphism(f)
+        assert not verdict and verdict.condition == "into"
+        assert verdict.witness == ("w1", "y")
+
     def test_pullback_valuation(self):
         source = KripkeFrame(frozenset("ab"),
                              frozenset({("a", "b"), ("b", "a")}), "a")
@@ -230,3 +237,34 @@ class TestMorphisms:
                 for w in source.worlds:
                     assert eval_kripke(src_model, w, a) == \
                         eval_kripke(tgt_model, f.map[w], a)
+
+
+class TestSampler:
+    """``sample_truth_preservation`` on the chain a -> b and its copy
+    u -> v, under a hand-built verdict that claims a p-morphism."""
+
+    def sample(self, fmap):
+        source = KripkeFrame(frozenset("ab"), frozenset({("a", "b")}), "a")
+        target = KripkeFrame(frozenset("uv"), frozenset({("u", "v")}), "u")
+        f = KripkeMorphism(source, target, fmap)
+        return sample_truth_preservation(
+            Verdict(True), f.map, source.worlds,
+            letter_draw(f, KripkeModel, target.worlds), truth_set,
+            samples=200, seed=4)
+
+    def test_right_image_passes_every_draw(self):
+        rep = self.sample({"a": "u", "b": "v"})
+        assert rep["passed"] == 200 and not rep["failures"], rep
+
+    def test_image_wrong_at_one_point_names_it(self):
+        # a goes to the leaf v, so box false holds at v but not at a; b
+        # and v are both leaves with one valuation, so b never differs
+        rep = self.sample({"a": "v", "b": "v"})
+        assert 0 < rep["passed"] < 200, rep
+        assert {x for x, _ in rep["failures"]} == {"a"}
+
+    def test_unverified_morphism_is_refused(self):
+        with pytest.raises(ValueError, match="not verified: surjectivity"):
+            sample_truth_preservation(
+                Verdict(False, "surjectivity", ("u",)), {}, (), None,
+                truth_set, samples=1, seed=0)

@@ -7,8 +7,9 @@ from mlwb.kripke import EvaluationError, KripkeFrame, KripkeModel, \
     KripkeMorphism, check_pmorphism, eval_kripke, pullback_valuation, \
     random_formula, unravel
 from mlwb.neighbourhood import (
-    NFrame, NModel, check_n_pmorphism, eval_nbhd, n_morphism_from_kripke,
-    n_truth_preservation_test, nf_from_kripke, parse_nframe, truth_set,
+    NFrame, NModel, NMorphism, check_n_pmorphism, eval_nbhd,
+    n_morphism_from_kripke, n_truth_preservation_test, nf_from_kripke,
+    parse_nframe, truth_set,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, neg, parse_prop
 
@@ -155,6 +156,15 @@ class TestMorphisms:
                                {w: w for w in chain(2).worlds})))(
                 source, target, {"w0": "x", "w1": "x"}))
         assert not bad
+
+    def test_map_leaving_the_target_fails_into(self):
+        source = nf_from_kripke(chain(2))
+        target = nf_from_kripke(
+            KripkeFrame(frozenset("x"), frozenset({("x", "x")}), "x"))
+        verdict = check_n_pmorphism(
+            NMorphism(source, target, {"w0": "x", "w1": "y"}))
+        assert not verdict and verdict.condition == "into"
+        assert verdict.witness == ("w1", "y")
 
     def test_pullback_valuation(self):
         frame = chain(2)

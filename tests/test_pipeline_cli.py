@@ -331,17 +331,16 @@ class TestRecordedPointChecks:
 
 def _record_psi(monkeypatch) -> dict:
     """Wraps make_eta so that each run leaves psi's lazily built domain maps
-    under "phi1", the pipeline's own record of the paths eta read under
-    "read", and, taken here, the f0 path of every point eta is asked about
-    under "asked"."""
+    under "phi1" and the f0 path of every point eta is asked about under
+    "asked"."""
     import mlwb.pipeline as pipeline
     make_eta = pipeline.make_eta
     seen = {}
 
-    def recording(classes, phi1, pframe, paths, read):
+    def recording(classes, phi1, pframe, paths):
         asked = set()
-        seen.update(phi1=phi1, read=read, asked=asked)
-        eta = make_eta(classes, phi1, pframe, paths, read)
+        seen.update(phi1=phi1, asked=asked)
+        eta = make_eta(classes, phi1, pframe, paths)
 
         def recorded(alpha, gamma):
             asked.add(f0(alpha, pframe.frame))
@@ -394,31 +393,30 @@ class TestPsiOnDemand:
         s = parse_scenario((SCENARIOS / f"{name}.scn").read_text(), name)
         report = _strip_times(render_report(run_pipeline(s)))
         assert report == (GOLDEN / f"{name}.report").read_text()
-        assert seen["read"] == seen["asked"]
         assert set(seen["phi1"]) == _with_ancestors(seen["asked"])
 
     @pytest.mark.parametrize("name", BUNDLED + ["tree", "dag", "loop"])
     def test_lazy_maps_are_the_whole_psi(self, monkeypatch, name):
         """On the bundled scenarios (the transitive three-chain under its
         Gamma among them) and on generated ones, the whole psi passes
-        check_kk_morphism, and the maps the pipeline built where eta read
-        are the whole psi's maps there."""
+        check_kk_morphism, and the maps the pipeline built are the whole
+        psi's maps there."""
         if name in BUNDLED:
             scenarios = [parse_scenario(
                 (SCENARIOS / f"{name}.scn").read_text(), name)]
         else:
             scenarios = _generated_scenarios(name)
         seen = _record_psi(monkeypatch)
-        read = 0
+        asked = 0
         for s in scenarios:
             run_pipeline(s)
             df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth)
             psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
             assert check_kk_morphism(psi)
-            for path in seen["read"]:
-                assert seen["phi1"][path] == psi.phi1[path], path
-            read += len(seen["read"])
-        assert read > 0 or name == "degenerate-point"
+            for path, mapping in seen["phi1"].items():
+                assert mapping == psi.phi1[path], path
+            asked += len(seen["asked"])
+        assert asked > 0 or name == "degenerate-point"
 
     def test_alphabet_too_small_where_eta_never_reads(self, monkeypatch):
         """One letter per class cannot cover the three elements new at w,
@@ -431,7 +429,7 @@ class TestPsiOnDemand:
         seen = _record_psi(monkeypatch)
         wide = THIN_ALPHABET + "dalphabet = {1, 2, 3, 4}\n"
         assert run_pipeline(parse_scenario(wide, "wide")).ok
-        assert seen["read"] == {("u",)}
+        assert seen["asked"] == {("u",)}
 
     @pytest.mark.parametrize("condition, change", [
         # every class at v to d, so e is not hit
@@ -457,7 +455,7 @@ class TestPsiOnDemand:
         monkeypatch.setattr(PsiMaps, "__missing__", broken)
         seen = _record_psi(monkeypatch)
         report = run_pipeline(parse_scenario(BARCAN, "barcan"))
-        assert ("u", "v") in seen["read"]
+        assert ("u", "v") in seen["asked"]
         stages = {stage.name: stage for stage in report.stages}
         assert not report.ok and not stages["composition"].ok
         detail = stages["composition"].detail
@@ -552,6 +550,19 @@ class TestCli:
         assert main(["parse", "--kind", "frame", "/nonexistent/frame"]) == 2
 
 
+KRIPKE_MORPHISM = """[source]
+worlds a b
+root a
+edges a->b b->a
+[target]
+worlds x
+root x
+edges x->x
+[map]
+a -> x
+b -> x
+"""
+
 NFRAME_MORPHISM = """[source]
 points a b c
 base a = {b, c}
@@ -616,8 +627,9 @@ at b : e -> n
 
 class TestPmorphCommand:
     @pytest.mark.parametrize("kind, text", [
-        ("nframe", NFRAME_MORPHISM), ("kk", KK_MORPHISM),
-        ("nk", NK_MORPHISM)], ids=["nframe", "kk", "nk"])
+        ("kripke", KRIPKE_MORPHISM), ("nframe", NFRAME_MORPHISM),
+        ("kk", KK_MORPHISM), ("nk", NK_MORPHISM)],
+        ids=["kripke", "nframe", "kk", "nk"])
     def test_valid_morphism_exits_0(self, tmp_path, capsys, kind, text):
         f = tmp_path / "morphism.txt"
         f.write_text(text)
@@ -640,6 +652,19 @@ class TestPmorphCommand:
         f.write_text(text)
         assert main(["pmorph", "--kind", kind, str(f)]) == 1
         assert f"VIOLATION {condition}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, text", [
+        ("kripke", KRIPKE_MORPHISM.replace("b -> x", "b -> z")),
+        ("nframe", NFRAME_MORPHISM.replace("b -> y", "b -> z"))],
+        ids=["kripke", "nframe"])
+    def test_map_leaving_the_target_exits_1(self, tmp_path, capsys, kind,
+                                            text):
+        """The map sends b to z, which is not a point of the target."""
+        f = tmp_path / "morphism.txt"
+        f.write_text(text)
+        assert main(["pmorph", "--kind", kind, str(f)]) == 1
+        out = capsys.readouterr().out
+        assert f"{kind} p-morphism: VIOLATION into at ('b', 'z')" in out
 
     @pytest.mark.parametrize("kind, text, message", [
         ("nframe", NFRAME_MORPHISM.replace("base c = {c}",

@@ -253,7 +253,7 @@ class TestNKMorphisms:
             m.target, {"P": {"a": frozenset({("d",)}),
                              "b": frozenset({("d",), ("e",)})}})
         rep = pred_truth_preservation_test(m, tmodel, samples=200, seed=2)
-        assert rep["ok"] and rep["checked"] == 200, rep
+        assert rep["passed"] == 200, rep
 
     def test_pullback_nk_values(self):
         m = self.make_identity_nk()
