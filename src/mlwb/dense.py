@@ -137,7 +137,6 @@ class DenseFrame:
     j_max: int = 8
     _closed: KripkeFrame = field(init=False, repr=False, compare=False)
     _interior: frozenset = field(init=False, repr=False, compare=False)
-    _successors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unr = unravel(self.frame, self.depth)
@@ -148,7 +147,6 @@ class DenseFrame:
             closed = gamma_close(unr.frame, self.gamma)
         object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_interior", unr.interior)
-        object.__setattr__(self, "_successors", successor_map(closed))
 
     def closed_unravelling(self) -> KripkeFrame:
         return self._closed
@@ -166,7 +164,7 @@ class DenseFrame:
             raise BudgetExceeded(
                 f"path {path!r} is a frontier path; raise the depth bound")
         out = []
-        for q in sorted(self._successors.get(path, ()), key=repr):
+        for q in sorted(successor_map(self._closed).get(path, ()), key=repr):
             if q == path:
                 out.append(())
             elif q[:len(path)] == path:

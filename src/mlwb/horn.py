@@ -1,19 +1,21 @@
 """Universal strict Horn sentences on finite frames and the Gamma-closure.
 
 A Horn sentence is a Datalog rule with head ``R(x, y)``.  Each body is
-rewritten once in disjunctive normal form, and its conjuncts are evaluated
-as joins over a relation indexed by its first and by its second argument.
-``eval_horn`` runs that join over the whole relation; ``gamma_close``
-computes the least superset satisfying every sentence by semi-naive
-evaluation, joining only the pairs each round added against the indexed
-relation (Bancilhon 1986; Abiteboul, Hull & Vianu, *Foundations of
+rewritten in disjunctive normal form, and each conjunct is compiled once
+into a join program: its atoms in join order, each step mapping a whole
+list of rows (tuples of variable values by slot) over a relation indexed
+by its first and by its second argument.  ``eval_horn`` runs the programs
+over the whole relation; ``gamma_close`` computes the least superset
+satisfying every sentence by semi-naive evaluation, running each program
+once per atom position with the pairs the last round added at that
+position (Bancilhon 1986; Abiteboul, Hull & Vianu, *Foundations of
 Databases*, ch. 13).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kripke import KripkeFrame, KripkeMorphism, Verdict, check_pmorphism
 from .syntax import HAnd, HAtom, HBody, HOr, HTrue, HornSentence, \
@@ -30,6 +32,14 @@ class HornTheory:
     @staticmethod
     def of(*sentences) -> "HornTheory":
         return HornTheory(tuple(sentences))
+
+    @cached_property
+    def _programs(self) -> list:
+        """Per DNF conjunct, its join program from each atom position (one
+        program for a ``true`` conjunct); not a field, so equality and hash
+        come from ``sentences`` alone."""
+        return [[_compile(atoms, s.head, i) for i in range(max(len(atoms), 1))]
+                for s in self.sentences for atoms in _dnf(s.body)]
 
 
 def _dnf(body: HBody) -> list:
@@ -61,101 +71,89 @@ class _Index:
             self.by_left.setdefault(u, set()).add(v)
             self.by_right.setdefault(v, set()).add(u)
 
-    def extend(self, atom: HAtom, env: dict):
-        """Every extension of ``env`` that binds ``atom`` to a pair."""
-        left, right = atom.left, atom.right
-        if left in env and right in env:
-            if (env[left], env[right]) in self.pairs:
-                yield env
-        elif left in env:
-            for v in self.by_left.get(env[left], ()):
-                yield {**env, right: v}
-        elif right in env:
-            for u in self.by_right.get(env[right], ()):
-                yield {**env, left: u}
-        elif left == right:
-            for u, v in self.pairs:
-                if u == v:
-                    yield {**env, left: u}
-        else:
-            for u, v in self.pairs:
-                yield {**env, left: u, right: v}
 
-
-def _plan(atoms: tuple, first: int) -> list:
-    """Join order: atom ``first``, then always an atom with the most
-    variables already bound (the earliest among equals)."""
-    if not atoms:
-        return []
-    order, rest = [first], [i for i in range(len(atoms)) if i != first]
-    bound = {atoms[first].left, atoms[first].right}
+def _compile(atoms: tuple, head: HAtom, first: int) -> tuple:
+    """The join program ``(steps, free, head slots)`` of the conjunct
+    ``atoms``: atom ``first``, then always an atom with the most variables
+    bound (the earliest among equals).  A row holds a value per slot.  A
+    step ``(op, a, b)`` keeps the rows whose slots ``a`` and ``b`` are a
+    pair (``check``), extends them through the index at slot ``a``
+    (``by_left``, ``by_right``), or appends a loop's world (``diag``) or a
+    pair (``cross``); then ``free`` unbound head variables range over the
+    worlds."""
+    slots: dict = {}
+    steps = []
+    rest = sorted(range(len(atoms)), key=lambda i: i != first)
     while rest:
-        i = max(rest, key=lambda i: (atoms[i].left in bound)
-                + (atoms[i].right in bound))
+        i = max(rest, key=lambda i: (atoms[i].left in slots)
+                + (atoms[i].right in slots))
         rest.remove(i)
-        order.append(i)
-        bound |= {atoms[i].left, atoms[i].right}
-    return order
+        u, v = atoms[i].left, atoms[i].right
+        if u in slots and v in slots:
+            steps.append(("check", slots[u], slots[v]))
+        elif u in slots or v in slots:
+            steps.append(("by_left", slots[u], None) if u in slots
+                         else ("by_right", slots[v], None))
+        else:
+            steps.append(("diag" if u == v else "cross", None, None))
+        for w in (u, v):
+            slots.setdefault(w, len(slots))
+    free = [w for w in dict.fromkeys((head.left, head.right))
+            if w not in slots]
+    for w in free:
+        slots[w] = len(slots)
+    return steps, len(free), slots[head.left], slots[head.right]
 
 
-def _bindings(atoms: tuple, sources: list, order: list, env: dict):
-    if not order:
-        yield env
-        return
-    i = order[0]
-    for extended in sources[i].extend(atoms[i], env):
-        yield from _bindings(atoms, sources, order[1:], extended)
-
-
-def _heads(atoms: tuple, head: HAtom, sources: list, first: int, worlds):
-    """Head pairs of every binding of the conjunct ``atoms``, atom ``i``
-    ranging over ``sources[i]``; head variables the body leaves unbound
-    range over ``worlds``."""
-    bound = {v for atom in atoms for v in (atom.left, atom.right)}
-    free = [v for v in dict.fromkeys((head.left, head.right))
-            if v not in bound]
-    for env in _bindings(atoms, sources, _plan(atoms, first), {}):
-        for values in itertools.product(worlds, repeat=len(free)):
-            full = {**env, **dict(zip(free, values))}
-            yield full[head.left], full[head.right]
-
-
-def _violations(index: _Index, worlds, s: HornSentence):
-    for atoms in _dnf(s.body):
-        for pair in _heads(atoms, s.head, [index] * len(atoms), 0, worlds):
-            if pair not in index.pairs:
-                yield pair
+def _joins(program: tuple, first, relation: _Index, worlds) -> set:
+    """The head pairs of ``program``, its first step reading the pairs
+    ``first`` and each later step ``relation``."""
+    steps, free, left, right = program
+    rows, pairs = [()], first
+    for op, a, b in steps:
+        if op == "check":
+            rows = [r for r in rows if (r[a], r[b]) in pairs]
+        elif op == "cross":
+            rows = [r + pair for r in rows for pair in pairs]
+        elif op == "diag":
+            loops = [(u,) for u, v in pairs if u == v]
+            rows = [r + loop for r in rows for loop in loops]
+        else:
+            index = relation.by_left if op == "by_left" else relation.by_right
+            rows = [r + (w,) for r in rows for w in index.get(r[a], ())]
+        pairs = relation.pairs
+    for _ in range(free):
+        rows = [r + (w,) for r in rows for w in worlds]
+    return {(r[left], r[right]) for r in rows}
 
 
 def eval_horn(frame: KripkeFrame, s: HornSentence) -> bool:
-    index = _Index(frame.relation)
-    return next(_violations(index, frame.worlds, s), None) is None
+    relation = _Index(frame.relation)
+    return all(_joins(_compile(atoms, s.head, 0), relation.pairs, relation,
+                      frame.worlds) <= relation.pairs
+               for atoms in _dnf(s.body))
 
 
 def gamma_close(frame: KripkeFrame, gamma: HornTheory) -> KripkeFrame:
     """Least fixpoint F^Gamma, evaluated semi-naively.
 
-    Round 0 joins every conjunct against the whole relation.  Each later
-    round joins every conjunct once per atom position, with the pairs the
-    last round added at that position and the whole relation at the others:
-    a new derivation uses at least one new pair.  A round that adds nothing
-    ends the loop.
+    Round 0 runs every conjunct's program against the whole relation.
+    Each later round runs every conjunct once per atom position, that atom
+    reading the pairs the last round added and the others the whole
+    relation: a new derivation uses at least one new pair.  A round that
+    adds nothing ends the loop.
     """
     relation = _Index(frame.relation)
-    new = {pair for s in gamma
-           for pair in _violations(relation, frame.worlds, s)}
-    rules = [(atoms, s.head) for s in gamma for atoms in _dnf(s.body)]
+    programs = gamma._programs
+    new = set().union(*(_joins(p[0], relation.pairs, relation, frame.worlds)
+                        for p in programs)) - relation.pairs
     while new:
         relation.add(new)
-        delta = _Index(new)
-        new = set()
-        for atoms, head in rules:
-            for i in range(len(atoms)):
-                sources = [relation] * len(atoms)
-                sources[i] = delta
-                new.update(pair for pair in
-                           _heads(atoms, head, sources, i, frame.worlds)
-                           if pair not in relation.pairs)
+        delta, new = new, set()
+        for program in (p for ps in programs for p in ps):
+            if program[0]:  # a ``true`` conjunct reads no new pair
+                new |= _joins(program, delta, relation, frame.worlds)
+        new -= relation.pairs
     return KripkeFrame(frame.worlds, frozenset(relation.pairs), frame.root)
 
 

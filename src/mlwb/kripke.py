@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .syntax import FALSUM, Box, Falsum, Formula, Implies, Letter, box_power, \
@@ -47,20 +48,36 @@ class KripkeFrame:
                            root)
 
     def successors(self, w) -> frozenset:
-        return frozenset(v for u, v in self.relation if u == w)
+        return self._successors.get(w, frozenset())
 
     def is_rooted(self) -> bool:
         return self.root is not None and reachable(self, self.root) == self.worlds
 
+    # the frame's successor index, built from the relation on first use;
+    # not fields, so ``==`` and ``hash`` stay those of the fields
+
+    @cached_property
+    def _successors(self) -> dict:
+        out: dict = {}
+        for u, v in self.relation:
+            out.setdefault(u, set()).add(v)
+        return {u: frozenset(vs) for u, vs in out.items()}
+
+    @cached_property
+    def _positions(self) -> tuple:
+        """The worlds sorted by ``repr``, and at each its successors'
+        positions in that order."""
+        worlds = sorted(self.worlds, key=repr)
+        index = dict(zip(worlds, range(len(worlds))))
+        return worlds, [[index[v] for v in self._successors.get(w, ())]
+                        for w in worlds]
+
 
 def successor_map(frame: KripkeFrame) -> dict:
-    """World -> its successors, for every world with one: one scan of the
-    relation, for callers that ask for many worlds' successors (a frame
-    keeps no index of its own, since most frames are asked a few times)."""
-    out: dict = {}
-    for u, v in frame.relation:
-        out.setdefault(u, set()).add(v)
-    return out
+    """World -> the frozenset of its successors, for every world with one:
+    the frame's own index, shared by every caller (read it, never change
+    it)."""
+    return frame._successors
 
 
 def reachable(frame: KripkeFrame, w) -> frozenset:
@@ -110,23 +127,20 @@ def eval_kripke(model: KripkeModel, w, a: Formula) -> bool:
 
 def truth_set(model: KripkeModel, a: Formula) -> frozenset:
     """The worlds of ``model`` where ``a`` holds."""
-    worlds = list(model.frame.worlds)
+    worlds = model.frame._positions[0]
     vectors = {p: list(map(ext.__contains__, worlds))
                for p, ext in model.valuation.items()}
-    values = _truth_vectors(model.frame, worlds, a, vectors, 1)
+    values = _truth_vectors(model.frame, a, vectors, 1)
     return frozenset(w for w, x in zip(worlds, values) if x)
 
 
 # kept apart from neighbourhood.truth_set: criterion 7 compares the two
-def _truth_vectors(frame: KripkeFrame, worlds: list, a: Formula,
-                   vectors: dict, full: int) -> list:
-    """The value of ``a`` at each of ``worlds`` (the frame's, in that order)
-    as a bit-vector whose bit k is the value under valuation k; ``full``
-    has a bit per valuation and ``vectors`` gives each letter's values."""
-    index = dict(zip(worlds, range(len(worlds))))
-    succ = [[] for _ in worlds]
-    for u, v in frame.relation:
-        succ[index[u]].append(index[v])
+def _truth_vectors(frame: KripkeFrame, a: Formula, vectors: dict,
+                   full: int) -> list:
+    """The value of ``a`` at each world of ``frame``, in ``repr`` order, as
+    a bit-vector whose bit k is the value under valuation k; ``full`` has a
+    bit per valuation and ``vectors`` gives each letter's values."""
+    worlds, succ = frame._positions
 
     def ev(b):
         if isinstance(b, Letter):
@@ -302,7 +316,7 @@ def brute_validity(frame: KripkeFrame, a: Formula, cap: int = 2 ** 20) -> bool:
     is 128 KiB.  The independent oracle for criteria 1 and 5.
     """
     names = sorted(letters(a))
-    worlds = sorted(frame.worlds, key=repr)
+    worlds = frame._positions[0]
     n = len(names) * len(worlds)
     if 2 ** n > cap:
         raise BudgetExceeded(f"{2 ** n} valuations exceed cap {cap}")
@@ -314,7 +328,7 @@ def brute_validity(frame: KripkeFrame, a: Formula, cap: int = 2 ** 20) -> bool:
     vectors = {p: bits[i * len(worlds):(i + 1) * len(worlds)]
                for i, p in enumerate(names)}
     full = (1 << width) - 1
-    return all(x == full for x in _truth_vectors(frame, worlds, a, vectors, full))
+    return all(x == full for x in _truth_vectors(frame, a, vectors, full))
 
 
 def check_axiom_inclusion(frame: KripkeFrame, k: int) -> Verdict:

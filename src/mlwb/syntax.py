@@ -419,7 +419,6 @@ def parse_horn(text: str) -> HornSentence:
     """Parse ``BODY => x R y`` with ``BODY ::= true | u R v | BODY & BODY | BODY "|" BODY``."""
     if "=>" not in text:
         raise ParseError("missing '=>' in Horn sentence", len(text))
-    body_text, head_text = text.split("=>", 1)
 
     def parse_atom(toks, pos):
         if pos + 2 < len(toks) and toks[pos + 1][1] == "R":
@@ -461,8 +460,11 @@ def parse_horn(text: str) -> HornSentence:
                              toks[pos][2])
         return node
 
-    body = parse_body(_tokenize(body_text))
-    head_toks = _tokenize(head_text)
+    # one token list, so that positions in the head count from the start
+    toks = _tokenize(text)
+    arrow = next(i for i, t in enumerate(toks) if t[0] == "=>")
+    body = parse_body(toks[:arrow] + [("end", "", toks[arrow][2])])
+    head_toks = toks[arrow + 1:]
     head, pos = parse_atom(head_toks, 0)
     if head_toks[pos][0] != "end":
         raise ParseError("Horn head must be a single atom", head_toks[pos][2])

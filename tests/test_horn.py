@@ -185,6 +185,21 @@ class TestJoinAgainstNaiveReference:
             assert closed.relation == naive_close(frame, theory)
             assert eval_horn(closed, s)
 
+    def test_one_theory_closes_frames_in_turn(self):
+        """A theory's compiled programs carry nothing from one frame to
+        the next, and leave its equality and hash to its sentences."""
+        rng = random.Random(18)
+        for text in SHAPED_SENTENCES:
+            theory = HornTheory.of(parse_horn(text))
+            frames = [random_frame(rng, max_worlds=5, p=0.3)
+                      for _ in range(3)]
+            for frame in frames + frames[:1]:
+                assert gamma_close(frame, theory).relation == \
+                    naive_close(frame, theory)
+            other = HornTheory.of(parse_horn(text))
+            gamma_close(frames[1], other)
+            assert other == theory and hash(other) == hash(theory)
+
     def test_random_sentences(self):
         rng = random.Random(5)
         for _ in range(150):

@@ -510,6 +510,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# added" in out
 
+    def test_close_reports_head_error_position(self, tmp_path, capsys):
+        f = tmp_path / "frame.txt"
+        f.write_text("worlds u v w\nroot u\nedges u->v v->w\n")
+        h = tmp_path / "horn.txt"
+        h.write_text("# transitivity\nx R y & y R z => x R z extra\n")
+        assert main(["close", "--frame", str(f), "--horn", str(h)]) == 2
+        assert "line 2: Horn head must be a single atom (at position 23)" \
+            in capsys.readouterr().err
+
     def test_unravel_command(self, tmp_path, capsys):
         f = tmp_path / "frame.txt"
         f.write_text("worlds u v\nroot u\nedges u->v\n")

@@ -112,3 +112,14 @@ class TestHorn:
     def test_missing_arrow_rejected(self):
         with pytest.raises(ParseError):
             parse_horn("x R y & y R z")
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("x R y & y R z => x R z extra", "Horn head must be a single atom", 23),
+        ("x R y => y R", "bad relation atom", 12),
+        ("x R y => ", "expected relation atom", 9),
+    ])
+    def test_head_error_positions_count_from_line_start(self, text, message,
+                                                        pos):
+        with pytest.raises(ParseError, match=message) as e:
+            parse_horn(text)
+        assert e.value.pos == pos
