@@ -66,10 +66,11 @@ class _Index:
         self.add(pairs)
 
     def add(self, pairs) -> None:
+        self.pairs.update(pairs)
+        by_left, by_right = self.by_left, self.by_right
         for u, v in pairs:
-            self.pairs.add((u, v))
-            self.by_left.setdefault(u, set()).add(v)
-            self.by_right.setdefault(v, set()).add(u)
+            by_left.setdefault(u, set()).add(v)
+            by_right.setdefault(v, set()).add(u)
 
 
 def _compile(atoms: tuple, head: HAtom, first: int) -> tuple:
