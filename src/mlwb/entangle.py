@@ -35,6 +35,9 @@ class EntangleSpace:
         object.__setattr__(self, "sigma2", tuple(self.sigma2))
         if not self.sigma2:
             raise ValueError("domain alphabet must be nonempty")
+        repeated = sorted({c for c in self.sigma2 if self.sigma2.count(c) > 1})
+        if repeated:
+            raise ValueError(f"domain alphabet repeats a letter: {repeated}")
         if not self.frame.is_rooted():
             raise ValueError("base frame must be rooted")
         overlap = set(self.sigma2) & (set(self.frame.worlds) | {STOP})
@@ -140,7 +143,8 @@ def equiv_bruteforce(space: EntangleSpace, x, y) -> bool:
     reads the definition and never calls ``canonicalize``.  The definition
     asks for a common ``t``, so it is factored per word: the two sets of
     ``decompositions`` meet.  Criterion 9 builds each word's set once and
-    compares the sets of every pair the same way."""
+    joins the words on them: the words ~ to ``u`` are those listed under
+    any of ``u``'s decompositions."""
     return not decompositions(space, x).isdisjoint(decompositions(space, y))
 
 

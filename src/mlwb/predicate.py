@@ -166,6 +166,9 @@ class PredKripkeModel(_FiniteModel):
             if len(arities) > 1:
                 raise ValueError(f"inconsistent arity for {name!r}")
             for w, rows in per_world.items():
+                if w not in self.pframe.domains:
+                    raise ValueError(f"valuation of {name!r} at {w!r}: the"
+                                     f" frame has no world {w!r}")
                 dom = self.pframe.domain(w)
                 for t in rows:
                     if not set(t) <= dom:
@@ -442,6 +445,9 @@ def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:
     val = {}
     for (name, world), (lineno, value) in keyed_lines(
             content_lines(text), "@", "=", lead="val").items():
+        if world not in pframe.domains:
+            raise ValueError(f"line {lineno}: val {name} @ {world}: the frame"
+                             f" has no world {world!r}")
         rows = parse_set(value, lineno)
         if rows and not isinstance(rows[0], tuple):
             raise ValueError(f"line {lineno}: expected tuples, found {value!r}")

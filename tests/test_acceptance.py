@@ -5,6 +5,10 @@ import pytest
 
 from mlwb import acceptance
 from mlwb.acceptance import CRITERIA, run_criterion
+from mlwb.entangle import EntangleSpace, canonicalize, decompositions, \
+    entangle_enumerate
+from mlwb.kripke import KripkeFrame
+from mlwb.predicate import PredNModel
 
 
 @pytest.mark.parametrize(
@@ -33,3 +37,53 @@ def test_criterion_9_catches_a_one_letter_strip(monkeypatch):
     assert not detail["ok"]
     assert detail["chain"]["mismatches"] == 0
     assert detail["loop"]["mismatches"] > 0
+
+
+def _strip_one(space, word):
+    word = tuple(word)
+    return word[:-1] if word and space.is_w(word[-1]) else word
+
+
+def _merge_two_classes(space, word):
+    form = canonicalize(space, word)
+    return ("1",) if form == ("2",) else form
+
+
+@pytest.mark.parametrize("mutant", [_strip_one, _merge_two_classes])
+def test_criterion_9_join_counts_every_pair(monkeypatch, mutant):
+    """Under a wrong canonical form the join's mismatches equal a count over
+    every ordered pair, made here from the words and their decompositions.
+    ``equiv`` follows the mutant, so the spot-check adds nothing."""
+    monkeypatch.setattr(acceptance, "canonicalize", mutant)
+    monkeypatch.setattr(acceptance, "equiv",
+                        lambda space, u, v: mutant(space, u) == mutant(space, v))
+    detail = acceptance.criterion_9_equiv_oracle()
+    for name, relation, max_len in (("chain", {("a", "b")}, 6),
+                                    ("loop", {("a", "b"), ("b", "b")}, 5)):
+        frame = KripkeFrame(frozenset({"a", "b"}), frozenset(relation), "a")
+        space = EntangleSpace(frame, sigma2=("1", "2"))
+        words = entangle_enumerate(space, max_len)
+        form = {w: mutant(space, w) for w in words}
+        parts = {w: decompositions(space, w) for w in words}
+        expected = sum((form[u] == form[v]) == parts[u].isdisjoint(parts[v])
+                       for u in words for v in words)
+        assert detail[name]["mismatches"] == expected
+        assert detail[name]["pairs"] == len(words) ** 2
+    assert detail["loop"]["mismatches"] > 0
+    assert not detail["ok"]
+
+
+def test_criterion_10_visits_the_one_element_domain(monkeypatch):
+    """A truth set that loses a point only on one-element constant domains
+    fails criterion 10: those valuations are still checked after the
+    repeated ones are dropped."""
+    truth_set = acceptance.pred_truth_set
+
+    def drop_one(model, formula):
+        points = truth_set(model, formula)
+        if isinstance(model, PredNModel) and len(model.pframe.dstar) == 1:
+            return points - {min(points)} if points else points
+        return points
+
+    monkeypatch.setattr(acceptance, "pred_truth_set", drop_one)
+    assert not acceptance.criterion_10_barcan()["ok"]

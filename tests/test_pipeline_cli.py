@@ -116,6 +116,10 @@ depth = 3
      "line 21: [formula] must contain exactly one formula"),
     (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)", ""),
      "line 19: [formula] must contain exactly one formula"),
+    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d)}\nval P @ w = {(d)}"),
+     "line 18: val P @ w: the frame has no world 'w'"),
+    (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {1, 1}"),
+     "domain alphabet repeats a letter: ['1']"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
@@ -125,7 +129,8 @@ depth = 3
         "repeated-root-line", "tuple-set-double-comma", "tuple-set-no-comma",
         "tuple-set-unclosed", "tuple-set-empty-member", "name-set-as-tuples",
         "root-without-world", "root-with-two-worlds", "horn-without-arrow",
-        "formula-cut-short", "two-formula-lines", "empty-formula-section"])
+        "formula-cut-short", "two-formula-lines", "empty-formula-section",
+        "val-at-unknown-world", "dalphabet-repeats-a-letter"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -138,8 +143,9 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     ({"gamma": parse_horn_theory("x R y & x R z => y R z")}, "chain sentences"),
     ({"gamma": parse_horn_theory("true => x R x")}, "violates"),
     ({"sigma2": ("1", "0")}, "alphabets must be disjoint"),
+    ({"sigma2": ("1", "2", "1")}, "repeats a letter: ['1']"),
 ], ids=["depth-zero", "non-chain-gamma",
-        "frame-violates-gamma", "dalphabet-holds-stop"])
+        "frame-violates-gamma", "dalphabet-holds-stop", "dalphabet-repeats"])
 def test_scenario_is_checked_on_construction(changes, message):
     s = parse_scenario(BARCAN, "barcan")
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -49,6 +49,10 @@ class TestFrames:
         with pytest.raises(ValueError):
             PredKripkeModel(pf, {"P": {"r": frozenset({("e",)})}})
 
+    def test_valuation_at_a_missing_world_is_refused(self):
+        with pytest.raises(ValueError, match="the frame has no world 'z'"):
+            PredKripkeModel(expanding_pframe(), {"P": {"z": frozenset()}})
+
 
 class TestEvaluation:
     def setup_method(self):
