@@ -55,8 +55,8 @@ def test_criterion_9_join_counts_every_pair(monkeypatch, mutant):
     every ordered pair, made here from the words and their decompositions.
     ``equiv`` follows the mutant, so the spot-check adds nothing."""
     monkeypatch.setattr(acceptance, "canonicalize", mutant)
-    monkeypatch.setattr(acceptance, "equiv",
-                        lambda space, u, v: mutant(space, u) == mutant(space, v))
+    monkeypatch.setattr(acceptance, "equiv", lambda space, u, v:
+                        mutant(space, u) == mutant(space, v))
     detail = acceptance.criterion_9_equiv_oracle()
     for name, relation, max_len in (("chain", {("a", "b")}, 6),
                                     ("loop", {("a", "b"), ("b", "b")}, 5)):

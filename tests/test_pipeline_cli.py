@@ -116,7 +116,8 @@ depth = 3
      "line 21: [formula] must contain exactly one formula"),
     (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)", ""),
      "line 19: [formula] must contain exactly one formula"),
-    (BARCAN.replace("val P @ v = {(d)}", "val P @ v = {(d)}\nval P @ w = {(d)}"),
+    (BARCAN.replace("val P @ v = {(d)}",
+                    "val P @ v = {(d)}\nval P @ w = {(d)}"),
      "line 18: val P @ w: the frame has no world 'w'"),
     (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {1, 1}"),
      "domain alphabet repeats a letter: ['1']"),
