@@ -16,14 +16,13 @@ and a box at a frontier path of the truncated unravelling, raises.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .horn import HornTheory, chain_axiom_powers, gamma_close
 from .kripke import (
     STOP, BudgetExceeded, EvaluationError, KripkeFrame, Verdict,
-    brute_validity, grow_words, relation_compose, successor_map, unravel,
+    brute_validity, grow_words, successor_map, unravel,
 )
 from .syntax import Box, Falsum, Formula, Implies, Letter, dia, modal_depth, \
     neg, to_text
@@ -90,20 +89,6 @@ def enumerate_paths_with_stops(frame: KripkeFrame, max_len: int) -> list:
         return [(a,) for a in [STOP] + sorted(frame.successors(endpoint),
                                               key=repr)]
     return grow_words(steps, max_len)
-
-
-def enumerate_canonical(frame: KripkeFrame, max_len: int) -> list:
-    """All canonical stop words of length <= max_len."""
-    return [w for w in enumerate_paths_with_stops(frame, max_len)
-            if not w or w[-1] != STOP]
-
-
-def parse_stopword(text: str) -> tuple:
-    """Dot-separated letters, ``0`` for stops: ``a.0.b`` (trailing 0^w implicit)."""
-    text = text.strip()
-    if not text or text == "eps":
-        return ()
-    return canonical(text.split("."))
 
 
 def format_stopword(word) -> str:
@@ -421,7 +406,7 @@ def counterexample_g(k_max: int = 10) -> dict:
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     frame = next_frame(k_max + 3)
-    df = DenseFrame(frame, depth=3, j_max=4)
+    df = DenseFrame(frame, depth=3)
     parity = ParityVal("1", 0)
     model = DenseModel(df, {"p": parity})
     p = Letter("p")
@@ -483,54 +468,3 @@ def f0_image_check(alpha, k: int, df: DenseFrame) -> Verdict:
                        (alpha, k, sorted(lhs - rhs)[0]))
     return Verdict(True)
 
-
-def chain_collapse_check(df: DenseFrame, n: int, m: int,
-                         samples: int = 100, seed: int = 0) -> dict:
-    """Collapse step of the box-to-box^n preservation proof: an n-chain of
-    U^Gamma_m steps stays inside U^Gamma_m of the start."""
-    if df.gamma is None:
-        raise ValueError("chain collapse needs a Gamma-relativized frame")
-    closed = df.closed_unravelling()
-    safe = frozenset(p for p in df.interior_paths()
-                     if len(p) + n < df.depth)
-    sub_worlds = frozenset(p for p in closed.worlds if len(p) <= df.depth - 1)
-    # precondition: the closed truncated unravelling validates R^n <= R on
-    # chains that stay inside the truncation
-    rel = frozenset((u, v) for u, v in closed.relation
-                    if u in sub_worlds and v in sub_worlds)
-    cur = frozenset((w, w) for w in sub_worlds)
-    for _ in range(n):
-        cur = relation_compose(cur, rel)
-    for u, v in cur:
-        if u in safe and (u, v) not in rel:
-            raise ValueError(f"precondition failed: closed unravelling lacks"
-                             f" R^{n} edge {(u, v)!r}")
-    rng = random.Random(seed)
-    starts = [w for w in enumerate_canonical(df.frame, max(1, df.depth - n - 2))
-              if f0(w, df.frame) in safe]
-    passed = tried = 0
-    failures = []
-    for _ in range(samples):
-        alpha = rng.choice(starts)
-        chain = [alpha]
-        ok = True
-        try:
-            for _ in range(n):
-                members, _ = uk_members(chain[-1], m, df)
-                members = [b for b in members if b != chain[-1]]
-                if not members:
-                    ok = False
-                    break
-                chain.append(rng.choice(members))
-            if not ok:
-                continue
-            result = is_member_uk(chain[-1], alpha, m, df)
-        except BudgetExceeded:
-            continue
-        tried += 1
-        if result:
-            passed += 1
-        elif len(failures) < 5:
-            failures.append(tuple(chain))
-    return {"tried": tried, "passed": passed, "failures": failures,
-            "ok": tried > 0 and passed == tried}

@@ -59,10 +59,6 @@ def p1(space: EntangleSpace, word) -> tuple:
     return (space.frame.root,) + tuple(a for a in word if space.is_w(a))
 
 
-def p2(space: EntangleSpace, word) -> tuple:
-    return (space.sigma2[0],) + tuple(a for a in word if space.is_d(a))
-
-
 def _is_path(frame: KripkeFrame, path: tuple) -> bool:
     if not path or path[0] != frame.root:
         return False

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kripke import KripkeFrame, KripkeMorphism, Verdict, check_pmorphism
+from .kripke import KripkeFrame
 from .syntax import HAnd, HAtom, HBody, HOr, HTrue, HornSentence, \
     content_lines, parse_horn, read_line
 
@@ -156,36 +156,6 @@ def gamma_close(frame: KripkeFrame, gamma: HornTheory) -> KripkeFrame:
                 new |= _joins(program, delta, relation, frame.worlds)
         new -= relation.pairs
     return KripkeFrame(frame.worlds, frozenset(relation.pairs), frame.root)
-
-
-def closure_minimality_check(frame: KripkeFrame, gamma: HornTheory) -> dict:
-    """Every added pair is forced: re-closing without it restores it."""
-    closed = gamma_close(frame, gamma)
-    added = closed.relation - frame.relation
-    violations = []
-    for pair in sorted(added, key=repr):
-        # R^Gamma \ {pair} is still a superset of R, so by minimality it must
-        # break some sentence; re-closing it then restores the pair
-        reduced = KripkeFrame(frame.worlds, closed.relation - {pair}, frame.root)
-        if all(eval_horn(reduced, s) for s in gamma):
-            violations.append(pair)
-        elif pair not in gamma_close(reduced, gamma).relation:
-            violations.append(pair)
-    return {"added": sorted(added, key=repr), "violations": violations,
-            "ok": not violations}
-
-
-def closure_pmorphism_lift_check(f: KripkeMorphism, gamma: HornTheory) -> Verdict:
-    """If the target satisfies Gamma, a verified f stays one after closing F."""
-    base = check_pmorphism(f)
-    if not base:
-        return Verdict(False, f"precondition:morphism:{base.condition}", base.witness)
-    for s in gamma:
-        if not eval_horn(f.target, s):
-            return Verdict(False, "precondition:target-violates-gamma", None)
-    closed = gamma_close(f.source, gamma)
-    lifted = KripkeMorphism(closed, f.target, f.map, f.interior)
-    return check_pmorphism(lifted)
 
 
 def axiom_to_horn(k: int):

@@ -306,20 +306,24 @@ def random_formula(rng: random.Random, letter_names: list, depth: int) -> Formul
 # validity
 
 
-def brute_validity(frame: KripkeFrame, a: Formula, cap: int = 2 ** 20) -> bool:
+BRUTE_VALUATIONS = 2 ** 20  # a truth vector of 128 KiB
+
+
+def brute_validity(frame: KripkeFrame, a: Formula) -> bool:
     """True iff ``a`` holds at every world under every valuation.
 
     Evaluates ``a`` once under all 2^n valuations, n = |letters| * |W|: a
     world's value is a 2^n-bit vector, and bit i*|W| + j of valuation k is
     the i-th letter (sorted) at the j-th world (sorted by ``repr``).
-    Refuses (loudly) when 2^n exceeds ``cap``; at the default cap a vector
-    is 128 KiB.  The independent oracle for criteria 1 and 5.
+    Refuses (loudly) when 2^n exceeds ``BRUTE_VALUATIONS``.  The
+    independent oracle for criteria 1 and 5.
     """
     names = sorted(letters(a))
     worlds = frame._positions[0]
     n = len(names) * len(worlds)
-    if 2 ** n > cap:
-        raise BudgetExceeded(f"{2 ** n} valuations exceed cap {cap}")
+    if 2 ** n > BRUTE_VALUATIONS:
+        raise BudgetExceeded(f"{2 ** n} valuations exceed cap"
+                             f" {BRUTE_VALUATIONS}")
     # bit k of bits[b] is bit b of k: double the valuations n times
     bits, width = [], 1
     for _ in range(n):

@@ -61,9 +61,10 @@ from .syntax import Atom, horn_to_text, keyed_lines, only_line, parse_pred, \
 @dataclass(frozen=True)
 class Scenario:
     """A pipeline input, checked once here, however it is built: every
-    formula predicate has a valuation, Gamma consists of chain sentences
-    the frame validates, the bounds are in range and the domain alphabet
-    is disjoint from the worlds and the stop symbol."""
+    formula predicate has a valuation of the arity it is applied at, Gamma
+    consists of chain sentences the frame validates, the bounds are in
+    range and the domain alphabet is disjoint from the worlds and the stop
+    symbol."""
 
     name: str
     pframe: PredKripkeFrame
@@ -77,9 +78,19 @@ class Scenario:
 
     def __post_init__(self):
         for sub in subformulas(self.formula):
-            if isinstance(sub, Atom) and sub.name not in self.model.valuation:
+            if not isinstance(sub, Atom):
+                continue
+            per_world = self.model.valuation.get(sub.name)
+            if per_world is None:
                 raise ValueError(f"predicate {sub.name!r} has no valuation"
                                  " entry")
+            # a predicate whose rows are all empty has no arity to compare
+            arities = {len(t) for rows in per_world.values() for t in rows}
+            if arities and arities != {len(sub.args)}:
+                raise ValueError(f"predicate {sub.name!r} is applied at"
+                                 f" arity {len(sub.args)}, but its"
+                                 f" [valuation] rows have arity"
+                                 f" {arities.pop()}")
         frame = self.pframe.frame
         if self.gamma is not None:
             if chain_axiom_powers(self.gamma) is None:

@@ -135,8 +135,14 @@ class PredKripkeFrame:
     def __post_init__(self):
         object.__setattr__(self, "domains",
                            {w: frozenset(d) for w, d in self.domains.items()})
-        if set(self.domains) != set(self.frame.worlds):
-            raise ValueError("domains must cover exactly the worlds")
+        missing = set(self.frame.worlds) - set(self.domains)
+        if missing:
+            raise ValueError(f"the worlds {sorted(missing, key=repr)} have no"
+                             " domain")
+        extra = set(self.domains) - set(self.frame.worlds)
+        if extra:
+            raise ValueError(f"domains at worlds the frame lacks:"
+                             f" {sorted(extra, key=repr)}")
         for d in self.domains.values():
             if not d:
                 raise ValueError("domains must be nonempty")
@@ -379,13 +385,13 @@ def _arities(model: PredKripkeModel) -> dict:
 # truth preservation
 
 
-def random_pred_formula(rng: random.Random, preds: dict, depth: int = 2,
-                        n_vars: int = 2) -> PredFormula:
+def random_pred_formula(rng: random.Random, preds: dict,
+                        depth: int = 2) -> PredFormula:
     """Closed random formula of modal depth <= depth over the given
-    predicate arities, <= n_vars quantified variables.  An atom takes only
-    variables in scope, and one with arguments outside any scope becomes
-    falsum, so the formula is closed as built."""
-    variables = [f"x{i}" for i in range(n_vars)]
+    predicate arities, with at most two quantified variables.  An atom
+    takes only variables in scope, and one with arguments outside any scope
+    becomes falsum, so the formula is closed as built."""
+    variables = ["x0", "x1"]
     names = sorted(preds)
 
     def build(d, scope, budget):
@@ -435,9 +441,14 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
 
 def parse_domains(text: str, frame: KripkeFrame) -> PredKripkeFrame:
     """Lines ``domain w = {d1,d2}``."""
-    return PredKripkeFrame(frame, {
-        w: frozenset(parse_set(value, lineno)) for w, (lineno, value)
-        in keyed_lines(content_lines(text), "=", lead="domain").items()})
+    domains = {}
+    for w, (lineno, value) in keyed_lines(content_lines(text), "=",
+                                          lead="domain").items():
+        if w not in frame.worlds:
+            raise ValueError(f"line {lineno}: domain {w}: the frame has no"
+                             f" world {w!r}")
+        domains[w] = frozenset(parse_set(value, lineno))
+    return PredKripkeFrame(frame, domains)
 
 
 def parse_pred_valuation(text: str, pframe: PredKripkeFrame) -> PredKripkeModel:

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from mlwb.horn import axioms_to_theory
-from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame
+from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame, \
+    relation_compose
 from mlwb.dense import (
     DenseFrame, DenseModel, FiniteSetVal, ParityVal, STOP,
-    bounded_eval, canonical, chain_collapse_check, classify_formula,
-    counterexample_g, density_witness, enumerate_canonical, f0,
-    f0_image_check, format_compact, format_stopword,
-    is_member_uk, next_frame, parse_stopword, restrict, st, uk_members,
-    validate_stopword,
+    bounded_eval, canonical, classify_formula, counterexample_g,
+    density_witness, enumerate_paths_with_stops, f0, f0_image_check,
+    format_compact, format_stopword, is_member_uk, next_frame, restrict, st,
+    uk_members, validate_stopword,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg
 
@@ -25,6 +25,64 @@ def two_chain():
 THREE_WORLDS = KripkeFrame.make(
     ["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "b"), ("b", "a")],
     root="r")
+
+
+def enumerate_canonical(frame: KripkeFrame, max_len: int) -> list:
+    """All canonical stop words of length <= max_len."""
+    return [w for w in enumerate_paths_with_stops(frame, max_len)
+            if not w or w[-1] != STOP]
+
+
+def chain_collapse_check(df: DenseFrame, n: int, m: int,
+                         samples: int = 100, seed: int = 0) -> dict:
+    """Collapse step of the box-to-box^n preservation proof: an n-chain of
+    U^Gamma_m steps stays inside U^Gamma_m of the start."""
+    if df.gamma is None:
+        raise ValueError("chain collapse needs a Gamma-relativized frame")
+    closed = df.closed_unravelling()
+    safe = frozenset(p for p in df.interior_paths()
+                     if len(p) + n < df.depth)
+    sub_worlds = frozenset(p for p in closed.worlds if len(p) <= df.depth - 1)
+    # precondition: the closed truncated unravelling validates R^n <= R on
+    # chains that stay inside the truncation
+    rel = frozenset((u, v) for u, v in closed.relation
+                    if u in sub_worlds and v in sub_worlds)
+    cur = frozenset((w, w) for w in sub_worlds)
+    for _ in range(n):
+        cur = relation_compose(cur, rel)
+    for u, v in cur:
+        if u in safe and (u, v) not in rel:
+            raise ValueError(f"precondition failed: closed unravelling lacks"
+                             f" R^{n} edge {(u, v)!r}")
+    rng = random.Random(seed)
+    starts = [w for w in enumerate_canonical(df.frame, max(1, df.depth - n - 2))
+              if f0(w, df.frame) in safe]
+    passed = tried = 0
+    failures = []
+    for _ in range(samples):
+        alpha = rng.choice(starts)
+        chain = [alpha]
+        ok = True
+        try:
+            for _ in range(n):
+                members, _ = uk_members(chain[-1], m, df)
+                members = [b for b in members if b != chain[-1]]
+                if not members:
+                    ok = False
+                    break
+                chain.append(rng.choice(members))
+            if not ok:
+                continue
+            result = is_member_uk(chain[-1], alpha, m, df)
+        except BudgetExceeded:
+            continue
+        tried += 1
+        if result:
+            passed += 1
+        elif len(failures) < 5:
+            failures.append(tuple(chain))
+    return {"tried": tried, "passed": passed, "failures": failures,
+            "ok": tried > 0 and passed == tried}
 
 
 class TestWords:
@@ -44,10 +102,10 @@ class TestWords:
         assert restrict((STOP, "a"), 4) == (STOP, "a", STOP, STOP)
         assert canonical(restrict(w, 3)) == (STOP, "a")
 
-    def test_parse_format_round_trip(self):
-        for text in ["", "0", "a", "0 a 0 0 b"]:
-            w = parse_stopword(text)
-            assert parse_stopword(format_stopword(w)) == w
+    def test_format_stopword(self):
+        assert format_stopword(()) == "eps"
+        assert format_stopword(("a",)) == "a"
+        assert format_stopword((STOP, "a", STOP, STOP, "b")) == "0.a.0.0.b"
 
     def test_validate_against_frame(self):
         frame = two_chain()

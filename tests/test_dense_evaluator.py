@@ -7,8 +7,8 @@ import re
 
 import pytest
 
-from mlwb.dense import STOP, DenseFrame, canonical, enumerate_canonical, f0, \
-    padded_words, restrict, st
+from mlwb.dense import STOP, DenseFrame, canonical, \
+    enumerate_paths_with_stops, f0, padded_words, restrict, st
 from mlwb.entangle import PsiMaps, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
@@ -246,7 +246,9 @@ def test_box_chains_keep_the_class(kind):
         text = random_scenario(rng, kind, "box box box P(x)", 4, 2)
         s = parse_scenario(text, kind)
         df = DenseFrame(s.pframe.frame, depth=s.depth)
-        for alpha in enumerate_canonical(df.frame, 3):
+        for alpha in enumerate_paths_with_stops(df.frame, 3):
+            if alpha != canonical(alpha):
+                continue
             for gamma in forall_family(s.sigma2, s.max_sigma, st(alpha)):
                 want = xi(s.space, alpha, gamma)
                 beta = alpha

@@ -9,7 +9,7 @@ from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
     EntangleSpace, build_psi, canonicalize, decompositions, dsharp,
     entangle_enumerate, equiv, equiv_bruteforce, fresh_classes,
-    fresh_count, h, is_entangled, p1, p2, t, xi,
+    fresh_count, h, is_entangled, p1, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
 from mlwb.pipeline import ClassTables, XiClasses, parse_scenario
@@ -41,7 +41,6 @@ class TestSpace:
         sp = abc_space()
         w = ("1", "a", "3", "b")
         assert p1(sp, w) == ("r", "1", "3")
-        assert p2(sp, w) == ("a", "a", "b")
 
     def test_is_entangled(self):
         sp = abc_space()

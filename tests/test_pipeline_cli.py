@@ -121,6 +121,20 @@ depth = 3
      "line 18: val P @ w: the frame has no world 'w'"),
     (BARCAN.replace("[bounds]", "[bounds]\ndalphabet = {1, 1}"),
      "domain alphabet repeats a letter: ['1']"),
+    (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)",
+                    "forall x. P(x, x)"),
+     "predicate 'P' is applied at arity 2, but its [valuation]"
+     " rows have arity 1"),
+    (BARCAN.replace("(forall x. box P(x)) -> box forall x. P(x)",
+                    "forall x. Q(x)").replace(
+                        "val P @ v = {(d)}", "val P @ v = {(d)}\n"
+                        "val Q @ u = {()}"),
+     "predicate 'Q' is applied at arity 1, but its [valuation]"
+     " rows have arity 0"),
+    (BARCAN.replace("domain v = {d, e}", "domain v = {d, e}\ndomain w = {d}"),
+     "line 14: domain w: the frame has no world 'w'"),
+    (BARCAN.replace("domain v = {d, e}\n", ""),
+     "the worlds ['v'] have no domain"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
@@ -131,7 +145,9 @@ depth = 3
         "tuple-set-unclosed", "tuple-set-empty-member", "name-set-as-tuples",
         "root-without-world", "root-with-two-worlds", "horn-without-arrow",
         "formula-cut-short", "two-formula-lines", "empty-formula-section",
-        "val-at-unknown-world", "dalphabet-repeats-a-letter"])
+        "val-at-unknown-world", "dalphabet-repeats-a-letter",
+        "atom-arity-above-valuation", "atom-arity-above-nullary-valuation",
+        "domain-at-unknown-world", "world-without-domain"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -48,6 +49,15 @@ class TestFrames:
         pf = expanding_pframe()
         with pytest.raises(ValueError):
             PredKripkeModel(pf, {"P": {"r": frozenset({("e",)})}})
+
+    def test_domains_name_the_worlds_they_miss_or_add(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "the worlds ['b'] have no domain")):
+            PredKripkeFrame(two_chain(), {"r": {"d"}, "a": {"d"}})
+        with pytest.raises(ValueError, match=re.escape(
+                "domains at worlds the frame lacks: ['z']")):
+            PredKripkeFrame(two_chain(), {"r": {"d"}, "a": {"d"}, "b": {"d"},
+                                          "z": {"d"}})
 
     def test_valuation_at_a_missing_world_is_refused(self):
         with pytest.raises(ValueError, match="the frame has no world 'z'"):
