@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .dense import DenseFrame, canonical, dropped, f0, st, uk_members
+from .dense import DenseFrame, canonical, dropped, st, uk_members
 from .kripke import (
     STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
 )
@@ -184,28 +184,48 @@ def h(space: EntangleSpace, alpha, gamma) -> tuple:
     alpha has already been reached.  Letters of alpha beyond gamma's
     stopping length are appended.  (A letter may thus be delayed past a run
     of domain letters, but never pulled ahead of its position — which is
-    what keeps the result stable on deep neighbourhoods of alpha.)"""
-    alpha = canonical(alpha)
+    what keeps the result stable on deep neighbourhoods of alpha.)
+
+    The walk is a fold of ``h_step`` over gamma from ``H_START``; the class
+    tables (``class_table``) extend the same walk word by word."""
+    letters = h_letters(space, alpha)
+    state = H_START
+    for c in canonical(gamma):
+        state = h_step(space, letters, state, c)
+    _, k, out = state
+    return out + tuple(a for _, a in letters[k:])
+
+
+def h_letters(space: EntangleSpace, alpha) -> tuple:
+    """(position, letter) for each base-frame letter of alpha, checked."""
     letters = []
-    for pos, a in enumerate(alpha, start=1):
+    for pos, a in enumerate(canonical(alpha), start=1):
         if a == STOP:
             continue
         if not space.is_w(a):
             raise EvaluationError(f"not a base-frame letter: {a!r}")
         letters.append((pos, a))
-    out = []
-    k = 0
-    for p, c in enumerate(canonical(gamma), start=1):
-        if c == STOP:
-            if k < len(letters) and letters[k][0] <= p:
-                out.append(letters[k][1])
-                k += 1
-        elif space.is_d(c):
-            out.append(c)
-        else:
-            raise EvaluationError(f"not a domain letter: {c!r}")
-    out.extend(a for _, a in letters[k:])
-    return tuple(out)
+    return tuple(letters)
+
+
+# the state of h's walk before gamma's first letter: (position in gamma,
+# letters of alpha consumed, output so far)
+H_START = (0, 0, ())
+
+
+def h_step(space: EntangleSpace, letters: tuple, state: tuple, c) -> tuple:
+    """The state of h's walk after gamma's next letter ``c``: a zero takes
+    the next letter of alpha (``h_letters``) once its position is reached,
+    and a domain letter is copied."""
+    p, k, out = state
+    p += 1
+    if c == STOP:
+        if k < len(letters) and letters[k][0] <= p:
+            return p, k + 1, out + (letters[k][1],)
+        return p, k, out
+    if c not in space.sigma2:
+        raise EvaluationError(f"not a domain letter: {c!r}")
+    return p, k, out + (c,)
 
 
 def t(space: EntangleSpace, alpha, ybar) -> tuple:
@@ -281,24 +301,43 @@ def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     return grow_words(lambda word: steps, max_sigma)
 
 
-def class_table(classes, alpha, family) -> dict:
+def class_table(space: EntangleSpace, alpha, family) -> dict:
     """Class xi(alpha, gamma) -> the first word gamma of ``family`` in that
-    class, in the order the family first hits the classes.  ``classes``
-    maps each (point, word) pair to its class xi(point, word), such as the
-    per-scenario memo ``pipeline.XiClasses``."""
+    class, in the order the family first hits the classes.
+
+    One walk of ``h`` over the family: every word of ``family`` is empty or
+    ends in a domain letter, and its parent (the word without its last step
+    ``0^g s``: the last letter, then the zeros before it) comes before it,
+    as in ``enumerate_dstar`` and its overflow words.  So each word's walk
+    state is its parent's extended by one ``h_step`` per letter of that
+    step (a word whose parent is not in the family is walked from the
+    start).  And since the word ends in a domain letter, the letters of
+    alpha that ``h`` would append are all base-frame letters that
+    ``canonicalize`` strips: the walk's output as it stands is the class
+    xi(alpha, gamma)."""
+    letters = h_letters(space, alpha)
+    states = {(): H_START}
     table = {}
     for gamma in family:
-        table.setdefault(classes[alpha, gamma], gamma)
+        i = max(len(gamma) - 1, 0)
+        while i and gamma[i - 1] == STOP:
+            i -= 1
+        state = states.get(gamma[:i])
+        if state is None:
+            state, i = H_START, 0
+        for c in gamma[i:]:
+            state = h_step(space, letters, state, c)
+        states[gamma] = state
+        table.setdefault(state[2], gamma)
     return table
 
 
-def xi_surjectivity_check(space: EntangleSpace, alpha, table: dict,
-                          max_sigma: int) -> dict:
-    """Every truncated class over f0(alpha) is a key of ``table``, the class
-    table that a ``forall`` at alpha ranges over."""
-    classes = sorted(dsharp(space, f0(alpha, space.frame), max_sigma))
-    missed = [cls for cls in classes if cls not in table]
-    return {"classes": len(classes), "missed": missed, "ok": not missed}
+def xi_surjectivity_check(domain, table: dict) -> dict:
+    """Every class of ``domain``, the truncated D-sharp domain over
+    f0(alpha), is a key of ``table``, the class table that a ``forall`` at
+    alpha ranges over."""
+    missed = sorted(cls for cls in domain if cls not in table)
+    return {"classes": len(domain), "missed": missed, "ok": not missed}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +359,10 @@ class PsiMaps(dict):
     the parent's domain.  So a path's domain is its parent's plus its fresh
     classes.  Those use every step of the path while each class of the
     parent's domain has fewer base letters, so they are disjoint from the
-    parent's domain and are exactly the classes the path adds.
+    parent's domain and are exactly the classes the path adds.  ``domains``
+    keeps each built path's domain, grown that way from its parent's; the
+    checks read it there (``check_psi_maps``, and the pipeline's
+    ``xi_surjectivity_check`` through ``domain``).
 
     Set-up refuses an alphabet that is too small at some closed path,
     counting its fresh classes (``fresh_count``) instead of listing them,
@@ -337,6 +379,7 @@ class PsiMaps(dict):
             raise ValueError("dense frame must sit over the target's base"
                              " frame")
         self.space, self.target, self.max_sigma = space, target, max_sigma
+        self.domains = {}
         self.closed = closed = dense.closed_unravelling()
         self.phi0 = KripkeMorphism(closed, frame,
                                    {p: p[-1] for p in closed.worlds},
@@ -361,10 +404,12 @@ class PsiMaps(dict):
         if len(path) == 1:
             inherited = {}
             fresh = dsharp(self.space, path, self.max_sigma)
+            self.domains[path] = fresh
             home = path[-1]
         else:
             inherited = self[path[:-1]]
             fresh = fresh_classes(self.space, path[1:], self.max_sigma)
+            self.domains[path] = self.domains[path[:-1]].union(fresh)
             home = path[-2]
         targets = sorted(_new(self.target.domain, path))
         designated = min(self.target.domain(home))
@@ -373,6 +418,11 @@ class PsiMaps(dict):
             assignment[cls] = targets[i] if i < len(targets) else designated
         self[path] = assignment
         return assignment
+
+    def domain(self, path) -> frozenset:
+        """The D-sharp domain at a closed path, its map built if need be."""
+        self[path]
+        return self.domains[path]
 
 
 def _new(domain, path) -> frozenset:
@@ -398,22 +448,15 @@ def check_psi_maps(phi1: PsiMaps) -> Verdict:
     target's domain at the path's endpoint, and extends the map at the
     source of every closed edge into the path.  A path's map is built after
     its parent's, so those paths hold every ancestor of a checked path,
-    among them the source of each closure edge into it."""
+    among them the source of each closure edge into it.  Each domain is
+    the one ``PsiMaps`` grew with the path's map."""
     checked = sorted(phi1, key=lambda p: (len(p), p))
-    # D-sharp at each checked path as ``dsharp`` defines it, grown along
-    # the tree order (the parent's domain plus the classes born at the
-    # path), which spares recounting each prefix's classes
-    space, max_sigma = phi1.space, phi1.max_sigma
-    domains = {}
-    for p in checked:
-        domains[p] = dsharp(space, p, max_sigma) if len(p) == 1 else \
-            domains[p[:-1]].union(fresh_classes(space, p[1:], max_sigma))
-    maps = check_domain_maps(phi1, checked, domains.__getitem__,
+    maps = check_domain_maps(phi1, checked, phi1.domains.__getitem__,
                              lambda p: phi1.target.domain(p[-1]))
     if not maps:
         return maps
     return check_agreement(phi1, [(u, v) for u, v in phi1.closed.relation
-                                  if v in domains])
+                                  if v in phi1])
 
 
 def build_psi(space: EntangleSpace, target: PredKripkeFrame,
@@ -421,14 +464,14 @@ def build_psi(space: EntangleSpace, target: PredKripkeFrame,
     """The whole psi: the surjections of ``PsiMaps`` from the D-sharp
     domains of the (optionally closed) truncated unravelling ``dense`` onto
     the target's expanding domains, at every closed path, checked by
-    ``check_kk_morphism``.  The pipeline builds the maps only at the paths
-    eta reads and checks them there (``check_psi_maps``); criterion 6 and
-    the tests take the whole morphism."""
+    ``check_kk_morphism`` against the domains ``PsiMaps`` grew (its source
+    domains).  The pipeline builds the maps only at the paths eta reads
+    and checks them there (``check_psi_maps``); criterion 6 and the tests
+    take the whole morphism."""
     phi1 = PsiMaps(space, target, dense, max_sigma)
     for path in phi1.closed.worlds:
         phi1[path]
-    source = PredKripkeFrame(phi1.closed,
-                             {p: frozenset(m) for p, m in phi1.items()})
+    source = PredKripkeFrame(phi1.closed, phi1.domains)
     morphism = PredKKMorphism(source, target, phi1.phi0, dict(phi1))
     verdict = check_kk_morphism(morphism)
     if not verdict:

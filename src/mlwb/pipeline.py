@@ -34,9 +34,10 @@ a path's map needs only its ancestors' maps: ``entangle.PsiMaps`` builds a
 map the first time eta reads it, and no other map is built.
 
 Each point is validated once per scenario (``PointPaths``) and each (point,
-word) pair classified by xi once (``XiClasses``); the class tables, eta and
-the checks read those memos.  The locality check at an atom still compares
-two pairs classified apart, the atom point's and the binding point's.
+word) pair classified once (``XiClasses``): a class table classifies its
+family by one walk of ``h`` and enters the words a ``forall`` binds, and
+eta classifies by xi only the pairs of an atom at another point than the
+binding one.  The locality check at an atom compares those two pairs.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, check_pmorphism, \
     parse_frame
 from .predicate import PredEvaluator, PredKripkeFrame, PredKripkeModel, \
-    Undecided, eval_pred_kripke, parse_domains, parse_pred_valuation
-from .syntax import Atom, horn_to_text, keyed_lines, only_line, parse_pred, \
-    parse_set, read_line, split_sections, subformulas, to_text, \
-    universal_closure
+    Undecided, check_formula, eval_pred_kripke, parse_domains, \
+    parse_pred_valuation
+from .syntax import horn_to_text, keyed_lines, only_line, parse_pred, \
+    parse_set, read_line, split_sections, to_text, universal_closure
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,7 @@ class Scenario:
     space: EntangleSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for sub in subformulas(self.formula):
-            if not isinstance(sub, Atom):
-                continue
-            per_world = self.model.valuation.get(sub.name)
-            if per_world is None:
-                raise ValueError(f"predicate {sub.name!r} has no valuation"
-                                 " entry")
-            # a predicate whose rows are all empty has no arity to compare
-            arities = {len(t) for rows in per_world.values() for t in rows}
-            if arities and arities != {len(sub.args)}:
-                raise ValueError(f"predicate {sub.name!r} is applied at"
-                                 f" arity {len(sub.args)}, but its"
-                                 f" [valuation] rows have arity"
-                                 f" {arities.pop()}")
+        check_formula(self.model, self.formula)
         frame = self.pframe.frame
         if self.gamma is not None:
             if chain_axiom_powers(self.gamma) is None:
@@ -126,7 +114,8 @@ class PipelineReport:
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    sections = split_sections(text, "frame", "domains", "valuation", "formula")
+    sections = split_sections(text, "frame", "domains", "valuation", "formula",
+                              optional=("horn", "bounds"))
     frame = parse_frame(sections["frame"])
     pframe = parse_domains(sections["domains"], frame)
     model = parse_pred_valuation(sections["valuation"], pframe)
@@ -242,7 +231,8 @@ def run_pipeline(s: Scenario) -> PipelineReport:
         ev = ctx["ev"]
         classes = 0
         for alpha, table in ev.tables.items():
-            out = xi_surjectivity_check(s.space, alpha, table, s.max_sigma)
+            out = xi_surjectivity_check(ctx["phi1"].domain(paths[alpha]),
+                                        table)
             if not out["ok"]:
                 return {"ok": False, "stage": "xi-surjectivity",
                         "alpha": alpha, "missed": out["missed"][:3]}
@@ -317,9 +307,10 @@ class XiClasses(dict):
     """(point, word) -> the class xi(point, word), for one scenario: each
     pair is classified the first time it is looked up and never again, by
     ``xi`` looked up through this module's name (so that a wrapper put
-    there sees every computation).  The class tables and eta read the same
-    memo, so a word that a ``forall`` bound at a point is not classified
-    again when eta maps it there."""
+    there sees every computation).  The class tables enter the first word
+    of each of their classes, which is every word a ``forall`` binds, so
+    eta and the checks look a bound word up at its binding point without
+    classifying it again."""
 
     def __init__(self, space: EntangleSpace):
         super().__init__()
@@ -334,13 +325,14 @@ class XiClasses(dict):
 class ClassTables(dict):
     """Point -> the class table (``entangle.class_table``) of the family a
     ``forall`` at the point ranges over, built once per point and scenario
-    from the scenario's ``XiClasses`` memo, so that the evaluator and the
-    checks read the same table.  The family is ``enumerate_dstar`` with
-    zero runs capped at st(alpha), which hits every class that a word with
-    at most max_sigma letters hits at alpha, then the overflow words
-    (max_sigma + 1 copies of the first domain letter after at most
-    st(alpha) zeros), which stand for the classes beyond the truncated
-    domains."""
+    by one walk of ``h`` over the family, so that the evaluator and the
+    checks read the same table.  Each table's (point, first word) pairs
+    go into the scenario's ``XiClasses`` memo with their classes.  The
+    family is ``enumerate_dstar`` with zero runs capped at st(alpha), which
+    hits every class that a word with at most max_sigma letters hits at
+    alpha, then the overflow words (max_sigma + 1 copies of the first
+    domain letter after at most st(alpha) zeros), which stand for the
+    classes beyond the truncated domains."""
 
     def __init__(self, classes: XiClasses, max_sigma: int):
         super().__init__()
@@ -353,7 +345,9 @@ class ClassTables(dict):
         overflow = (sigma2[0],) * (self.max_sigma + 1)
         family = enumerate_dstar(sigma2, self.max_sigma, gap_max) \
             + [(STOP,) * g + overflow for g in range(gap_max + 1)]
-        table = self[alpha] = class_table(self.classes, alpha, family)
+        table = self[alpha] = class_table(self.classes.space, alpha, family)
+        for cls, gamma in table.items():
+            self.classes[alpha, gamma] = cls
         return table
 
 
@@ -434,7 +428,9 @@ class DenseEvaluator(PredEvaluator):
     family only has to hit every class at alpha, which
     ``entangle.enumerate_dstar`` does at gap_max = st(alpha).  The body is
     evaluated once per entry of the point's class table (``ClassTables``):
-    once per class, at its first word in the family.
+    once per class, at its first word in the family.  The table is read
+    off one walk of ``h`` over the family (``entangle.class_table``), and
+    eta finds those first words already classified at alpha.
 
     ``paths`` maps each point to its f0 path and ``classes`` each (point,
     word) pair to its xi class; shared with ``make_eta``, they validate each

@@ -117,10 +117,8 @@ class _FiniteModel(PredEvaluator):
         return self.holds(a.name, x, tuple([env[t.name] for t in a.args]))
 
     def holds(self, name: str, w, args: tuple) -> bool:
-        per_point = self.valuation.get(name)
-        if per_point is None:
-            raise EvaluationError(f"predicate {name!r} has no valuation entry")
-        return args in per_point.get(w, ())
+        """``check_formula`` has refused a predicate without a valuation."""
+        return args in self.valuation[name].get(w, ())
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +225,39 @@ def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
 
 def truth_set(model: _FiniteModel, a: PredFormula) -> frozenset:
     """The points of a finite model where ``a`` holds; ``a`` is checked once."""
-    _check_closed(a)
+    check_formula(model, a)
     return frozenset(x for x in model.binding if model.eval(x, a, {}))
 
 
 def _evaluate(model: _FiniteModel, x, a: PredFormula) -> bool:
     if x not in model.binding:
         raise EvaluationError(f"unknown point {x!r}")
-    _check_closed(a)
+    check_formula(model, a)
     return model.eval(x, a, {})
 
 
-def _check_closed(a: PredFormula) -> None:
-    """Refuse a free variable, or a variable bound again inside its scope,
-    anywhere in ``a``, also on a branch that evaluation never reaches."""
-    free, rebound = term_scan(a)
+def check_formula(model, a: PredFormula) -> None:
+    """Refuse, anywhere in ``a``, also on a branch that evaluation never
+    reaches: a free variable, a variable bound again inside its scope, and
+    an atom whose predicate has no valuation entry in ``model`` or rows of
+    another arity (a predicate whose rows are all empty has no arity)."""
+    free, rebound, atoms = term_scan(a)
     if free:
         raise EvaluationError(f"formula must be closed; free: {sorted(free)}")
     if rebound:
         raise EvaluationError(f"variables {sorted(rebound)} are bound again"
                               f" inside their scope")
+    for name, arity in atoms:
+        per_point = model.valuation.get(name)
+        if per_point is None:
+            raise EvaluationError(f"predicate {name!r} has no valuation"
+                                  " entry")
+        for rows in per_point.values():
+            for t in rows:
+                if len(t) != arity:
+                    raise EvaluationError(
+                        f"predicate {name!r} is applied at arity {arity},"
+                        f" but its [valuation] rows have arity {len(t)}")
 
 
 def barcan_formula(pred: str = "P") -> PredFormula:

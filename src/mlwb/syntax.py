@@ -135,12 +135,14 @@ def letters(a: Formula) -> set:
 
 def term_scan(a: Formula) -> tuple:
     """One walk over ``a``: its free variables in order of first occurrence,
-    and the variables that a ``forall`` binds again inside the scope of one
-    over the same variable."""
-    free, rebound = {}, set()
+    the variables that a ``forall`` binds again inside the scope of one
+    over the same variable, and each atom's (predicate, argument count) in
+    order of first occurrence."""
+    free, rebound, atoms = {}, set(), {}
 
     def walk(f, bound):
         if isinstance(f, Atom):
+            atoms[f.name, len(f.args)] = None
             for t in f.args:
                 if t.name not in bound:
                     free[t.name] = None
@@ -155,7 +157,7 @@ def term_scan(a: Formula) -> tuple:
             walk(f.body, bound | {f.var})
 
     walk(a, frozenset())
-    return list(free), rebound
+    return list(free), rebound, list(atoms)
 
 
 def free_vars(a: Formula) -> set:
@@ -526,10 +528,10 @@ def content_lines(text: str) -> list:
     return lines
 
 
-def split_sections(text: str, *required: str) -> dict:
+def split_sections(text: str, *required: str, optional=()) -> dict:
     """``Section`` bodies of the ``[name]`` sections of a file, by name.
-    Rejects a duplicate section, content before the first one and a missing
-    ``required`` one."""
+    Rejects a duplicate section, content before the first one, a section
+    neither ``required`` nor ``optional`` and a missing ``required`` one."""
     lines = content_lines(text)
     starts = [index for index, (_, line) in enumerate(lines)
               if line[0] == "[" and line[-1] == "]"]
@@ -540,8 +542,10 @@ def split_sections(text: str, *required: str) -> dict:
     headers = []
     for start, end in zip(starts, starts[1:] + [len(lines)]):
         lineno, header = lines[start]
-        headers.append((lineno, header[1:-1].strip(),
-                        Section(lines[start + 1:end], lineno)))
+        name = header[1:-1].strip()
+        if name not in required and name not in optional:
+            raise ValueError(f"line {lineno}: unknown section [{name}]")
+        headers.append((lineno, name, Section(lines[start + 1:end], lineno)))
     sections = _unique(headers, lambda name: f"section [{name}]")
     for name in required:
         if name not in sections:

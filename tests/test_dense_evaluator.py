@@ -4,12 +4,14 @@ xi that lets a ``forall`` quantify over classes."""
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from mlwb.dense import STOP, DenseFrame, canonical, \
     enumerate_paths_with_stops, f0, padded_words, restrict, st
-from mlwb.entangle import PsiMaps, enumerate_dstar, xi
+from mlwb.entangle import EntangleSpace, PsiMaps, canonicalize, \
+    class_table, enumerate_dstar, xi
 from mlwb.horn import chain_axiom_powers
 from mlwb.kripke import BudgetExceeded
 from mlwb.pipeline import DenseEvaluator, PointPaths, XiClasses, make_eta, \
@@ -17,6 +19,8 @@ from mlwb.pipeline import DenseEvaluator, PointPaths, XiClasses, make_eta, \
 from mlwb.predicate import eval_pred_kripke
 from mlwb.syntax import Atom, Box, Falsum, Forall, Implies, modal_depth, \
     parse_pred
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def forall_family(sigma2, max_sigma, gap_max):
@@ -265,3 +269,59 @@ def test_box_chains_keep_the_class(kind):
                         (text, alpha, gamma, beta)
                     checked += 1
     assert checked > 0
+
+
+def h_by_definition(space, alpha, gamma) -> tuple:
+    """``entangle.h`` read from its definition, kept apart from its walk:
+    each zero of gamma takes the next unused base letter of alpha whose
+    position in alpha the zero's position has reached, a domain letter is
+    copied, and the letters of alpha left over are appended."""
+    pending = [(pos, a) for pos, a in enumerate(canonical(alpha), start=1)
+               if a != STOP]
+    out = []
+    for pos, c in enumerate(canonical(gamma), start=1):
+        if c != STOP:
+            out.append(c)
+        elif pending and pending[0][0] <= pos:
+            out.append(pending.pop(0)[1])
+    return tuple(out) + tuple(a for _, a in pending)
+
+
+def walk_frames():
+    """The frames of the three bundled scenarios and of seeded
+    ``random_scenario`` trees, DAGs and loops."""
+    frames = [parse_scenario(path.read_text(), path.name).pframe.frame
+              for path in sorted(SCENARIOS.glob("*.scn"))]
+    rng = random.Random("class-table-walk")
+    for kind in ("tree", "dag", "loop"):
+        for _ in range(3):
+            text = random_scenario(rng, kind, "box P(x)", 4, 1)
+            frames.append(parse_scenario(text, kind).pframe.frame)
+    return frames
+
+
+def test_class_table_walk_matches_xi_word_by_word():
+    """At every point alpha with st(alpha) <= 3, the class table that one
+    walk of ``h`` builds over the forall family (overflow words included)
+    is the first-hit table of ``xi`` applied word by word, and ``xi`` is
+    ``h``'s definition with the trailing base letters stripped."""
+    checked = 0
+    for frame in walk_frames():
+        points = {canonical(w) for w in enumerate_paths_with_stops(frame, 3)}
+        for sigma2 in (("1",), ("1", "2")):
+            space = EntangleSpace(frame, sigma2)
+            for max_sigma in (1, 2, 3):
+                for alpha in sorted(points):
+                    family = forall_family(sigma2, max_sigma, st(alpha))
+                    want = {}
+                    for gamma in family:
+                        cls = xi(space, alpha, gamma)
+                        assert cls == canonicalize(
+                            space, h_by_definition(space, alpha, gamma)), \
+                            (alpha, gamma)
+                        want.setdefault(cls, gamma)
+                    got = class_table(space, alpha, family)
+                    assert list(got.items()) == list(want.items()), \
+                        (frame, sigma2, max_sigma, alpha)
+                    checked += 1
+    assert checked > 500

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mlwb.dense import DenseFrame, STOP
+from mlwb.dense import DenseFrame, STOP, f0
 from mlwb.horn import parse_horn_theory
 from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
@@ -239,12 +239,19 @@ class TestDsharp:
         assert d == frozenset({(), ("x",), ("x", "x")})
 
 
+def surjectivity(space, alpha, table):
+    """``xi_surjectivity_check`` of a table at alpha against D-sharp over
+    f0(alpha) at max_sigma = 2."""
+    return xi_surjectivity_check(dsharp(space, f0(alpha, space.frame), 2),
+                                 table)
+
+
 class TestXi:
     def test_surjectivity_on_stop_free_alpha(self):
         sp = chain_space(4)
         tables = ClassTables(XiClasses(sp), 2)
         for alpha in [(), ("w1",), ("w1", "w2"), ("w1", "w2", "w3")]:
-            rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
+            rep = surjectivity(sp, alpha, tables[alpha])
             assert rep["ok"], rep["missed"]
 
     def test_surjectivity_with_interleaved_stops(self):
@@ -252,7 +259,7 @@ class TestXi:
         tables = ClassTables(XiClasses(sp), 2)
         for alpha in [("w1", STOP), (STOP, "w1"),
                       ("w1", STOP, STOP, "w2"), (STOP, STOP, "w1", "w2")]:
-            rep = xi_surjectivity_check(sp, alpha, tables[alpha], max_sigma=2)
+            rep = surjectivity(sp, alpha, tables[alpha])
             assert rep["ok"], rep["missed"]
 
     def test_surjectivity_checks_the_forall_family(self, monkeypatch):
@@ -262,14 +269,14 @@ class TestXi:
         import mlwb.pipeline as pipeline
         sp = chain_space(3)
         table = ClassTables(XiClasses(sp), 2)[("w1",)]
-        assert xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)["ok"]
+        assert surjectivity(sp, ("w1",), table)["ok"]
         short = pipeline.enumerate_dstar
         monkeypatch.setattr(
             pipeline, "enumerate_dstar",
             lambda sigma2, max_sigma, gap_max:
                 short(sigma2, max_sigma, gap_max - 1))
         table = ClassTables(XiClasses(sp), 2)[("w1",)]
-        rep = xi_surjectivity_check(sp, ("w1",), table, max_sigma=2)
+        rep = surjectivity(sp, ("w1",), table)
         assert not rep["ok"]
         assert ("w1", "x") in rep["missed"]
 
@@ -284,7 +291,6 @@ class TestXi:
     def test_xi_lands_in_dsharp(self):
         sp = chain_space(4)
         alpha = ("w1", STOP, "w2")
-        from mlwb.dense import f0
         path = f0(alpha, sp.frame)
         for gamma in [("x",), (STOP, "y"), ("x", STOP, "y", STOP)]:
             cls = xi(sp, alpha, gamma)

@@ -135,6 +135,9 @@ depth = 3
      "line 14: domain w: the frame has no world 'w'"),
     (BARCAN.replace("domain v = {d, e}\n", ""),
      "the worlds ['v'] have no domain"),
+    (TRANSITIVE.replace("[horn]", "[gamma]"),
+     "line 21: unknown section [gamma]"),
+    (BARCAN + "[bogus]\n", "line 27: unknown section [bogus]"),
 ], ids=["predicate-without-val", "non-chain-horn", "depth-below-eccentricity",
         "frame-without-root", "depth-zero", "zero-max_sigma",
         "empty-dalphabet", "empty-domain-member", "frame-violates-transitivity",
@@ -147,7 +150,8 @@ depth = 3
         "formula-cut-short", "two-formula-lines", "empty-formula-section",
         "val-at-unknown-world", "dalphabet-repeats-a-letter",
         "atom-arity-above-valuation", "atom-arity-above-nullary-valuation",
-        "domain-at-unknown-world", "world-without-domain"])
+        "domain-at-unknown-world", "world-without-domain",
+        "misspelt-horn-section", "unknown-section"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, text, message):
     f = tmp_path / "bad.scn"
     f.write_text(text)
@@ -240,6 +244,30 @@ class TestPipeline:
         out = render_report(report)
         assert "  reason: frontier\n" in out
         assert "  frontier: (u, v)\n" in out
+        assert "  dense_value: None\n" in out
+
+    @pytest.mark.parametrize("depth", [3, 4, 5, 6])
+    def test_gamma_closed_cycle_stays_undecided(self, tmp_path, capsys,
+                                                depth):
+        """The limit at Gamma-closed cycles, pinned as it stands: under
+        R^2 <= R the closed successors of the root include paths of every
+        length up to the truncation, so the nested box that the refutation
+        needs true always reaches the frontier (u, v, ..., v) of ``depth``
+        worlds, and raising ``depth`` only moves it down."""
+        f = tmp_path / "cycle.scn"
+        f.write_text("[frame]\nworlds u v\nroot u\nedges u->v v->v\n"
+                     "[domains]\ndomain u = {d}\ndomain v = {d, e}\n"
+                     "[valuation]\nval P @ u = {}\n"
+                     "val P @ v = {(d), (e)}\n"
+                     "[horn]\nx R y & y R z => x R z\n"
+                     "[formula]\n(box box forall x. P(x)) -> forall x. P(x)\n"
+                     f"[bounds]\ndepth = {depth}\n")
+        assert main(["pipeline", str(f)]) == 1
+        out = capsys.readouterr().out
+        frontier = ", ".join(["u"] + ["v"] * (depth - 1))
+        assert f"  frontier: ({frontier})\n" in out
+        assert "  reason: frontier\n" in out
+        assert "  kripke_root_value: False\n" in out
         assert "  dense_value: None\n" in out
 
     def test_false_part_decides_past_an_undecided_one(self):
@@ -572,6 +600,25 @@ class TestCli:
                      "[map]\na -> x\nb -> x\n[map]\na -> x\n")
         assert main(["pmorph", "--kind", "kripke", str(f)]) == 2
         assert "duplicate section [map]" in capsys.readouterr().err
+
+    def test_unknown_sections_exit_2(self, tmp_path, capsys):
+        """``mlwb eval`` and every ``mlwb pmorph`` kind refuse a section
+        they do not read, and name it with its line."""
+        m = tmp_path / "model.txt"
+        m.write_text("[frame]\nworlds u v\nroot u\nedges u->v\n"
+                     "[valuation]\nval p = {v}\n[bogus]\n")
+        assert main(["eval", "--model", str(m), "--at", "u",
+                     "--formula", "box p"]) == 2
+        assert "line 7: unknown section [bogus]" in capsys.readouterr().err
+        for kind, text in [("kripke", KRIPKE_MORPHISM),
+                           ("nframe", NFRAME_MORPHISM),
+                           ("kk", KK_MORPHISM), ("nk", NK_MORPHISM)]:
+            f = tmp_path / f"{kind}.txt"
+            f.write_text(text + "[bogus]\n")
+            assert main(["pmorph", "--kind", kind, str(f)]) == 2, kind
+            lineno = len(text.splitlines()) + 1
+            assert f"line {lineno}: unknown section [bogus]" \
+                in capsys.readouterr().err, kind
 
     def test_bad_input_exits_2(self, tmp_path, capsys):
         f = tmp_path / "frame.txt"

@@ -152,6 +152,45 @@ class TestRefusals:
         with pytest.raises(EvaluationError, match="bound again"):
             evaluate("r", a)
 
+    @pytest.mark.parametrize("a", [
+        parse_pred("forall x. P(x, x)"),
+        parse_pred("forall x. (false -> P(x, x))"),
+        _p(),
+    ], ids=["direct", "unreached-branch", "nullary"])
+    def test_atom_of_another_arity(self, case, a):
+        evaluate = case()
+        with pytest.raises(ValueError, match=re.escape(
+                "predicate 'P' is applied at arity")):
+            evaluate("r", a)
+
+    def test_predicate_without_valuation(self, case):
+        evaluate = case()
+        with pytest.raises(ValueError,
+                           match="predicate 'Q' has no valuation entry"):
+            evaluate("r", parse_pred("forall x. (false -> Q(x))"))
+
+
+def test_one_world_model_refuses_an_atom_of_another_arity():
+    """``truth_set``, ``eval_pred_kripke`` and ``eval_pred_nbhd`` refuse an
+    atom whose argument count differs from its predicate's rows, where an
+    atom used to read such an argument tuple as false."""
+    frame = KripkeFrame.make(["u"], [], root="u")
+    kripke = PredKripkeModel(PredKripkeFrame(frame, {"u": {"d"}}),
+                             {"P": {"u": frozenset({("d",)})}})
+    nbhd = PredNModel(PredNFrame(nf_from_kripke(frame), {"d"}),
+                      {"P": {"u": frozenset({("d",)})}})
+    for text in ("forall x. P(x, x)", "forall x. P(x, x) -> false"):
+        a = parse_pred(text)
+        for call in (lambda: truth_set(kripke, a),
+                     lambda: truth_set(nbhd, a),
+                     lambda: eval_pred_kripke(kripke, "u", a),
+                     lambda: eval_pred_nbhd(nbhd, "u", a)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "predicate 'P' is applied at arity 2, but its"
+                    " [valuation] rows have arity 1")):
+                call()
+    assert eval_pred_kripke(kripke, "u", parse_pred("forall x. P(x)"))
+
 
 def test_truth_set_collects_the_pointwise_values():
     kripke = PredKripkeModel(expanding_pframe(), {"P": {

@@ -57,6 +57,22 @@ def test_one_predicate_evaluator():
     assert not found, found
 
 
+def test_one_walk_of_h():
+    """Only ``h`` and the class tables mention ``h_step``: the walk of
+    ``h`` has one implementation, which the tables extend word by word
+    instead of keeping a copy of it."""
+    callers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for function in tree.body:
+            callers |= {f"{path.stem}.{getattr(function, 'name', '?')}"
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Name) and node.id == "h_step"
+                        or isinstance(node, ast.alias)
+                        and node.name == "h_step"}
+    assert callers == {"entangle.h", "entangle.class_table"}, sorted(callers)
+
+
 def _module_names() -> tuple:
     """``(nodes, aliases)``: ``nodes[(module, name)]`` is the statement
     defining each module-level function, class and assigned name, and
