@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a check finds a refutation or violation
-(the report is still printed), 2 on input errors.
+(the report is still printed), 2 on input errors and exceeded budgets.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 from .dense import counterexample_g
 from .horn import gamma_close, parse_horn_theory
-from .kripke import KripkeModel, KripkeMorphism, \
+from .kripke import BudgetExceeded, KripkeModel, KripkeMorphism, \
     check_pmorphism, eval_kripke, format_frame, parse_frame, \
     parse_valuation, unravel
 from .neighbourhood import NMorphism, check_n_pmorphism, parse_nframe
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:
+    except (ValueError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

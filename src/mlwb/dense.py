@@ -8,9 +8,10 @@ a minimal neighbourhood.
 
 Although the frame is infinite, ``bounded_eval`` decides exactly the
 fragment it accepts: letters, falsum and implication, and boxes over bodies
-of modal depth 0 along one-letter extension steps, which tail classifiers
-decide at one neighbourhood index (see ``_eval_box``).  Any other formula,
-and a box at a frontier path of the truncated unravelling, raises.
+of modal depth 0 along one-letter extension steps, which two zero paddings
+of each step decide at one neighbourhood index (see ``_eval_box``).  Any
+other formula, and a box at a frontier path of the truncated unravelling,
+raises.
 """
 
 from __future__ import annotations
@@ -217,18 +218,7 @@ def density_witness(alpha, n: int, beta, df: DenseFrame) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pattern valuations and tail classifiers
-
-
-@dataclass(frozen=True)
-class FiniteSetVal:
-    words: frozenset  # of canonical stop words
-
-    def member(self, word) -> bool:
-        return canonical(word) in self.words
-
-    def max_len(self) -> int:
-        return max((len(w) for w in self.words), default=0)
+# pattern valuations
 
 
 @dataclass(frozen=True)
@@ -248,77 +238,19 @@ class ParityVal:
         return 0
 
 
-@dataclass(frozen=True)
-class TailFn:
-    """Truth of a tail family as a function of the padding j.
-
-    Exceptional values for j < len(exc); beyond that the value depends only
-    on the parity of j.
-    """
-
-    exc: tuple
-    even: bool
-    odd: bool
-
-    def value(self, j: int) -> bool:
-        if j < len(self.exc):
-            return self.exc[j]
-        return self.even if j % 2 == 0 else self.odd
-
-    def all_true(self) -> bool:
-        return self.even and self.odd and all(self.exc)
-
-    @staticmethod
-    def const(v: bool) -> "TailFn":
-        return TailFn((), v, v)
-
-    def combine(self, other: "TailFn", op) -> "TailFn":
-        t = max(len(self.exc), len(other.exc))
-        # keep one extra pair so parity values line up past both thresholds
-        exc = tuple(op(self.value(j), other.value(j)) for j in range(t))
-        even = op(self.value(t if t % 2 == 0 else t + 1),
-                  other.value(t if t % 2 == 0 else t + 1))
-        odd = op(self.value(t + 1 if t % 2 == 0 else t),
-                 other.value(t + 1 if t % 2 == 0 else t))
-        return TailFn(exc, even, odd)
-
-
-def classify_letter(val, pre: tuple, b: str) -> TailFn:
-    """Tail classifier of a valuation entry on the family pre . 0^j . b . 0^w."""
-    m = len(pre)
-    if isinstance(val, FiniteSetVal):
-        js = [j for j in range(val.max_len() + 1)
-              if canonical(pre + (STOP,) * j + (b,)) in val.words]
-        t = max(js) + 1 if js else 0
-        return TailFn(tuple(j in js for j in range(t)), False, False)
-    if isinstance(val, ParityVal):
-        if b != val.letter or any(a != STOP for a in pre):
-            return TailFn.const(False)
-        return TailFn((), (m % 2) == val.parity, ((m + 1) % 2) == val.parity)
-    raise EvaluationError(f"unclassifiable valuation {val!r}")
-
-
-def classify_formula(valuation: dict, a: Formula, pre: tuple, b: str) -> TailFn:
-    """Exact tail truth of a modal-depth-0 formula on a tail family."""
-    if isinstance(a, Falsum):
-        return TailFn.const(False)
-    if isinstance(a, Letter):
-        if a.name not in valuation:
-            raise EvaluationError(f"letter {a.name!r} has no valuation entry")
-        return classify_letter(valuation[a.name], pre, b)
-    if isinstance(a, Implies):
-        left = classify_formula(valuation, a.left, pre, b)
-        right = classify_formula(valuation, a.right, pre, b)
-        return left.combine(right, lambda l, r: (not l) or r)
-    raise EvaluationError(f"cannot classify formula of modal depth > 0: {a!r}")
-
-
 # ---------------------------------------------------------------------------
 # exact evaluation of depth-one boxes
 
 
 @dataclass(frozen=True)
 class DenseModel:
+    """A valuation over the dense frame.  Each entry has ``member(word)``
+    and ``max_len()``, and must meet the condition ``_eval_box`` relies on:
+    on a word ``pre . 0^j . b`` with ``len(pre) > max_len()``, ``member``
+    depends only on ``pre``, ``b`` and the parity of j.  ``ParityVal``
+    meets it, as does any finite set of words of at most ``max_len()``
+    letters (it reads every such word false)."""
+
     dense: DenseFrame
     valuation: dict  # letter name -> pattern valuation
 
@@ -328,8 +260,8 @@ class DenseModel:
         return self.valuation[name].member(word)
 
     def stability_bound(self, alpha) -> int:
-        """m beyond which every letter's tail classifier depends only on the
-        parity of the prefix length."""
+        """m from which on ``restrict(alpha, m)`` is alpha padded with zeros
+        and longer than every entry's ``max_len()``."""
         longest = max((v.max_len() for v in self.valuation.values()), default=0)
         return max(st(alpha), longest) + 1
 
@@ -362,12 +294,14 @@ def _eval_box(model: DenseModel, alpha, body: Formula) -> bool:
 
     * U_k(alpha) only shrinks as k grows, so the box holds at some k iff it
       holds at every larger one;
-    * from k = ``stability_bound(alpha)`` on, the prefix ``restrict(alpha,
-      k)`` is alpha padded with zeros, and the tail classifier of each
-      one-letter family ``pre . 0^j . b`` has no exceptional values and
-      depends only on the parity of k: its even and odd values swap from k
-      to k + 1.  ``all_true`` asks for both, so it gives the same answer
-      at every such k.
+    * from k = ``stability_bound(alpha)`` on, the prefix ``pre =
+      restrict(alpha, k)`` is alpha padded with zeros, and each one-letter
+      extension b contributes the family ``pre . 0^j . b`` for j >= 0.  By
+      the condition on a ``DenseModel`` valuation, every letter, and hence
+      the body, takes the same value at j and j + 2.  So the members at
+      j = 0 and j = 1 decide the family at k, and they are the members at
+      j = 1 and j = 2 of the family at k - 1.  The answer is the same at
+      every such k.
 
     Hence the box holds at some k iff it holds at ``stability_bound(alpha)``.
     A reflexive step (``ext == ()``) contributes alpha itself at every k."""
@@ -380,11 +314,11 @@ def _eval_box(model: DenseModel, alpha, body: Formula) -> bool:
             f"box {to_text(body)} at {format_stopword(alpha)} is outside the"
             " decided fragment: a body of modal depth 0 along one-letter"
             " extension steps")
-    k = model.stability_bound(alpha)
-    pre = restrict(alpha, k)
-    return all(_eval(model, alpha, body) if ext == () else
-               classify_formula(model.valuation, body, pre, ext[0]).all_true()
-               for ext in exts)
+    pre = restrict(alpha, model.stability_bound(alpha))
+    return all(_eval(model, word, body)
+               for ext in exts
+               for word in ([alpha] if ext == () else
+                            (w for _, w in padded_words(pre, ext, 1))))
 
 
 # ---------------------------------------------------------------------------

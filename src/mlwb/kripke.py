@@ -196,11 +196,16 @@ class KripkeMorphism:
 
 def check_surjection(fmap: dict, points: frozenset,
                      targets: frozenset) -> Verdict:
-    """The point map of a morphism is total on ``points``, into ``targets``
-    and onto them."""
-    missing = points - set(fmap)
+    """The point map of a morphism is total on ``points``, defined nowhere
+    else, into ``targets`` and onto them."""
+    keys = set(fmap)
+    missing = points - keys
     if missing:
         return Verdict(False, "totality", (sorted(missing, key=repr)[0],))
+    extra = keys - points
+    if extra:
+        return Verdict(False, "map-at-unknown-point",
+                       (sorted(extra, key=repr)[0],))
     image = {fmap[x] for x in points}
     if not image <= targets:
         x = min((x for x in points if fmap[x] not in targets), key=repr)
@@ -379,19 +384,39 @@ class Unravelling:
     interior: frozenset         # paths of length < depth
 
 
+# the most paths ``unravel`` builds; the bundled scenarios and the
+# acceptance criteria build at most a few dozen
+UNRAVEL_PATHS = 2 ** 16
+
+
 def unravel(frame: KripkeFrame, depth: int) -> Unravelling:
     """Frame of rooted paths of length <= depth with one-step extension.
 
     The endpoint map satisfies surjectivity and monotonicity globally;
-    lifting is guaranteed only at interior paths (length < depth).
+    lifting is guaranteed only at interior paths (length < depth).  The
+    paths are counted length by length before any is built, and more than
+    ``UNRAVEL_PATHS`` of them raise ``BudgetExceeded``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not frame.is_rooted():
         raise ValueError("frame must be rooted")
+    succ = {w: sorted(vs, key=repr) for w, vs in successor_map(frame).items()}
+    ends, count = {frame.root: 1}, 1  # paths of the last length, per endpoint
+    for length in range(2, depth + 1):
+        longer: dict = {}
+        for w, n in ends.items():
+            for v in succ.get(w, ()):
+                longer[v] = longer.get(v, 0) + n
+        ends = longer
+        count += sum(ends.values())
+        if count > UNRAVEL_PATHS:
+            raise BudgetExceeded(
+                f"unravelling to depth {depth} has {count} paths of length"
+                f" <= {length} alone, over the budget of {UNRAVEL_PATHS}")
+
     def steps(word):
-        end = word[-1] if word else frame.root
-        return [(v,) for v in sorted(frame.successors(end), key=repr)]
+        return [(v,) for v in succ.get(word[-1] if word else frame.root, ())]
     paths = [(frame.root,) + word for word in grow_words(steps, depth - 1)]
     path_set = frozenset(paths)
     rel = frozenset((p[:-1], p) for p in paths if len(p) > 1)

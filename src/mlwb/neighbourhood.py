@@ -21,6 +21,10 @@ class NFrame:
     base: dict  # point -> tuple of frozensets (a filter base)
 
     def __post_init__(self):
+        extra = set(self.base) - self.points
+        if extra:
+            raise ValueError(f"base given at {sorted(extra, key=repr)[0]!r},"
+                             " which is not a point")
         for x in self.points:
             members = self.base.get(x)
             if not members:

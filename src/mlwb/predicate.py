@@ -105,7 +105,23 @@ class PredEvaluator:
 class _FiniteModel(PredEvaluator):
     """The hooks of a finite model whose ``__post_init__`` sets ``base``
     (point -> filter base) and ``binding`` (point -> its quantifier domain,
-    sorted once): an atom reads its arguments from ``env``."""
+    sorted once) and calls ``_set_arities``: an atom reads its arguments
+    from ``env``."""
+
+    def _set_arities(self) -> None:
+        """Set ``arities``: each predicate's row arity, or None when it has
+        no rows; refuse a predicate whose rows have two arities."""
+        arities = {}
+        for name, per_point in self.valuation.items():
+            arity = None
+            for rows in per_point.values():
+                for t in rows:
+                    if arity is None:
+                        arity = len(t)
+                    elif len(t) != arity:
+                        raise ValueError(f"inconsistent arity for {name!r}")
+            arities[name] = arity
+        object.__setattr__(self, "arities", arities)
 
     def boxes(self, x, env):
         return self.base[x]
@@ -165,10 +181,8 @@ class PredKripkeModel(_FiniteModel):
                            {w: (frame.successors(w),) for w in frame.worlds})
         object.__setattr__(self, "binding", {
             w: tuple(sorted(d)) for w, d in self.pframe.domains.items()})
+        self._set_arities()
         for name, per_world in self.valuation.items():
-            arities = {len(t) for rows in per_world.values() for t in rows}
-            if len(arities) > 1:
-                raise ValueError(f"inconsistent arity for {name!r}")
             for w, rows in per_world.items():
                 if w not in self.pframe.domains:
                     raise ValueError(f"valuation of {name!r} at {w!r}: the"
@@ -203,6 +217,7 @@ class PredNModel(_FiniteModel):
         object.__setattr__(self, "base", space.base)
         object.__setattr__(self, "binding", dict.fromkeys(
             space.points, tuple(sorted(self.pframe.dstar))))
+        self._set_arities()
         for name, per_point in self.valuation.items():
             for x, rows in per_point.items():
                 for t in rows:
@@ -236,7 +251,7 @@ def _evaluate(model: _FiniteModel, x, a: PredFormula) -> bool:
     return model.eval(x, a, {})
 
 
-def check_formula(model, a: PredFormula) -> None:
+def check_formula(model: _FiniteModel, a: PredFormula) -> None:
     """Refuse, anywhere in ``a``, also on a branch that evaluation never
     reaches: a free variable, a variable bound again inside its scope, and
     an atom whose predicate has no valuation entry in ``model`` or rows of
@@ -248,16 +263,14 @@ def check_formula(model, a: PredFormula) -> None:
         raise EvaluationError(f"variables {sorted(rebound)} are bound again"
                               f" inside their scope")
     for name, arity in atoms:
-        per_point = model.valuation.get(name)
-        if per_point is None:
+        if name not in model.arities:
             raise EvaluationError(f"predicate {name!r} has no valuation"
                                   " entry")
-        for rows in per_point.values():
-            for t in rows:
-                if len(t) != arity:
-                    raise EvaluationError(
-                        f"predicate {name!r} is applied at arity {arity},"
-                        f" but its [valuation] rows have arity {len(t)}")
+        found = model.arities[name]
+        if found is not None and found != arity:
+            raise EvaluationError(
+                f"predicate {name!r} is applied at arity {arity},"
+                f" but its [valuation] rows have arity {found}")
 
 
 def barcan_formula(pred: str = "P") -> PredFormula:
@@ -340,7 +353,11 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
 
 def check_domain_maps(phi1: dict, points, domain_at, codomain_at) -> Verdict:
     """At each point, phi1 maps the point's domain onto the codomain at the
-    point's image."""
+    point's image; phi1 holds no map at any other point."""
+    extra = set(phi1).difference(points)
+    if extra:
+        return Verdict(False, "domain-map-at-unknown-point",
+                       (sorted(extra, key=repr)[0],))
     for x in points:
         fx = phi1.get(x)
         if fx is None:
@@ -376,20 +393,14 @@ def _pull_back(model: PredKripkeModel, target, points, domain_at, phi0,
     if model.pframe is not target and model.pframe != target:
         raise ValueError("valuation must live on the morphism's target")
     val = {}
-    for name, arity in _arities(model).items():
+    for name, arity in model.arities.items():
         val[name] = {
             x: frozenset(t for t in itertools.product(sorted(domain_at(x)),
-                                                      repeat=arity)
+                                                      repeat=arity or 0)
                          if model.holds(name, phi0[x],
                                         tuple(phi1[x][d] for d in t)))
             for x in points}
     return val
-
-
-def _arities(model: PredKripkeModel) -> dict:
-    return {name: max((len(t) for rows in per.values() for t in rows),
-                      default=0)
-            for name, per in model.valuation.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +450,7 @@ def pred_truth_preservation_test(m: PredNKMorphism, model: PredKripkeModel,
     verdict = check_nk_morphism(m)
     # the pullback reads the maps that the verdict checks
     pulled = pullback_nk(model, m) if verdict else None
-    preds = _arities(model)
+    preds = {name: arity or 0 for name, arity in model.arities.items()}
     return sample_truth_preservation(
         verdict, m.phi0, m.space.points,
         lambda rng: (pulled, model, random_pred_formula(rng, preds)),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -6,13 +7,26 @@ from mlwb.horn import axioms_to_theory
 from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame, \
     relation_compose
 from mlwb.dense import (
-    DenseFrame, DenseModel, FiniteSetVal, ParityVal, STOP,
-    bounded_eval, canonical, classify_formula, counterexample_g,
+    DenseFrame, DenseModel, ParityVal, STOP,
+    bounded_eval, canonical, counterexample_g,
     density_witness, enumerate_paths_with_stops, f0, f0_image_check,
     format_compact, format_stopword, is_member_uk, next_frame, restrict, st,
     uk_members, validate_stopword,
 )
 from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg
+
+
+@dataclass(frozen=True)
+class FiniteSetVal:
+    """A dense valuation true on a finite set of canonical stop words."""
+
+    words: frozenset
+
+    def member(self, word) -> bool:
+        return canonical(word) in self.words
+
+    def max_len(self) -> int:
+        return max((len(w) for w in self.words), default=0)
 
 
 def two_chain():
@@ -180,12 +194,19 @@ class TestNeighbourhoods:
 
 
 def reference_eval(model: DenseModel, alpha, a, k_max: int) -> tuple:
-    """Reference: the k-loop evaluator the exact box replaced, on the
-    fragment the exact box decides, as a (value, certified) pair.  A box
-    tries k = 0..k_max and is certified true at the first k whose
-    one-letter families are all true; it is certified false only when k_max
-    reaches past stability_bound(alpha) + 1.  An implication is certified
-    when a certified side decides it."""
+    """Reference for the exact box, read from the definition, as a
+    (value, certified) pair.  A box tries k = 0..k_max, reads U_k(alpha)
+    from ``uk_members`` and evaluates the body at each member; it is
+    certified true at the first k where the body holds at every member,
+    and certified false only when k_max reaches past
+    stability_bound(alpha) + 1.  An implication is certified when a
+    certified side decides it.
+
+    ``uk_members`` pads each one-letter step with j = 0..j_max zeros (8 on
+    the random frames, 4 on the frame with only a parity valuation).  That
+    shows every value a family takes: the finite sets here hold words of at
+    most 4 letters, so only j <= 3 can meet one, and past them parity has
+    period 2, so j = 4 and 5 show the rest."""
     alpha = canonical(alpha)
     if isinstance(a, Falsum):
         return False, True
@@ -203,12 +224,9 @@ def reference_eval(model: DenseModel, alpha, a, k_max: int) -> tuple:
         return True, True
     assert modal_depth(a.body) == 0 and all(len(ext) <= 1 for ext in exts)
     for k in range(k_max + 1):
-        pre = restrict(alpha, max(k, st(alpha)))
-        if all(reference_eval(model, alpha, a.body, k_max)[0]
-               if ext == () else
-               classify_formula(model.valuation, a.body, pre,
-                                ext[0]).all_true()
-               for ext in exts):
+        members, _ = uk_members(alpha, k, df)
+        if all(reference_eval(model, beta, a.body, k_max)[0]
+               for beta in members):
             return True, True
     return False, k_max >= model.stability_bound(alpha) + 1
 

@@ -186,6 +186,17 @@ class TestUnravelling:
         with pytest.raises(ValueError):
             unravel(KripkeFrame(frozenset("ab"), frozenset(), None), 2)
 
+    def test_budget_counts_before_building(self, monkeypatch):
+        """Two worlds that see each other and themselves have 2^39 paths of
+        length 40: the count passes the budget and raises before any path
+        is built."""
+        import mlwb.kripke
+        monkeypatch.setattr(mlwb.kripke, "grow_words", None)
+        cluster = KripkeFrame.make("ab", [(u, v) for u in "ab" for v in "ab"],
+                                   root="a")
+        with pytest.raises(BudgetExceeded, match="depth 40 has 131071 paths"):
+            unravel(cluster, 40)
+
 
 class TestMorphisms:
     def test_collapse_morphism(self):

@@ -575,10 +575,27 @@ class TestCli:
         f.write_text("worlds u v\nroot u\nedges u->v\n")
         assert main(["unravel", "--frame", str(f), "--depth", "3"]) == 0
 
+    def test_unravel_over_budget_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "frame.txt"
+        f.write_text("worlds u v\nroot u\nedges u->u u->v v->u v->v\n")
+        assert main(["unravel", "--frame", str(f), "--depth", "40"]) == 2
+        assert "error: unravelling to depth 40 has" in capsys.readouterr().err
+
     def test_dense_counterexample(self, capsys):
         assert main(["dense", "counterexample", "--kmax", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "box" in out or "witness" in out.lower()
+        assert capsys.readouterr().out == """\
+dia p at eps: True
+dia not p at eps: True
+box p at eps: False
+witnesses per neighbourhood (p-true word / p-false word):
+  k=0: 1 / 01
+  k=1: 001 / 01
+  k=2: 001 / 0001
+  k=3: 00001 / 0001
+  k=4: 00001 / 000001
+kripke side validates dia p -> box p: True
+result: ok
+"""
 
     def test_repeated_val_line_exits_2(self, tmp_path, capsys):
         m = tmp_path / "model.txt"
@@ -724,7 +741,18 @@ class TestPmorphCommand:
         ("nk", NK_MORPHISM.replace("at b : d -> m", "at b : d -> n")
                           .replace("at b : e -> n", "at b : e -> m"),
          "domain-map-not-locally-stable"),
-    ], ids=["nframe", "kk", "nk"])
+        # entries at a point the source lacks
+        ("kripke", KRIPKE_MORPHISM + "zz -> x\n",
+         "map-at-unknown-point at ('zz',)"),
+        ("nframe", NFRAME_MORPHISM + "zz -> x\n",
+         "map-at-unknown-point at ('zz',)"),
+        ("kk", KK_MORPHISM + "at zz : d -> e\n",
+         "domain-map-at-unknown-point at ('zz',)"),
+        ("nk", NK_MORPHISM + "at zz : d -> m\n",
+         "domain-map-at-unknown-point at ('zz',)"),
+    ], ids=["nframe", "kk", "nk", "kripke-map-at-unknown-point",
+            "nframe-map-at-unknown-point", "kk-elements-at-unknown-point",
+            "nk-elements-at-unknown-point"])
     def test_violated_morphism_exits_1(self, tmp_path, capsys, kind, text,
                                        condition):
         f = tmp_path / "morphism.txt"
@@ -760,10 +788,14 @@ class TestPmorphCommand:
          "line 7: expected one 'dstar = {...}' line in [dstar]"),
         ("nk", NK_MORPHISM.replace("dstar = {d, e}", "star = {d, e}"),
          "line 6: expected one 'dstar = {...}' line in [dstar]"),
+        ("nframe", NFRAME_MORPHISM.replace("base c = {c}",
+                                           "base c = {c}\nbase zz = {a}"),
+         "base given at 'zz', which is not a point"),
     ], ids=["nframe-base-line", "map-line", "elements-line", "root-line",
-            "extra-dstar-line", "dstar-line-with-another-key"])
-    def test_repeated_line_exits_2(self, tmp_path, capsys, kind, text,
-                                   message):
+            "extra-dstar-line", "dstar-line-with-another-key",
+            "nframe-base-at-unknown-point"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, kind, text,
+                                     message):
         f = tmp_path / "morphism.txt"
         f.write_text(text)
         assert main(["pmorph", "--kind", kind, str(f)]) == 2

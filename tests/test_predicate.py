@@ -192,6 +192,16 @@ def test_one_world_model_refuses_an_atom_of_another_arity():
     assert eval_pred_kripke(kripke, "u", parse_pred("forall x. P(x)"))
 
 
+def test_both_models_refuse_rows_of_two_arities():
+    frame = KripkeFrame.make(["u", "v"], [("u", "v")], root="u")
+    rows = {"P": {"u": frozenset({("d",)}), "v": frozenset({("d", "d")})}}
+    with pytest.raises(ValueError, match="inconsistent arity for 'P'"):
+        PredKripkeModel(PredKripkeFrame(frame, {"u": {"d"}, "v": {"d"}}),
+                        rows)
+    with pytest.raises(ValueError, match="inconsistent arity for 'P'"):
+        PredNModel(PredNFrame(nf_from_kripke(frame), {"d"}), rows)
+
+
 def test_truth_set_collects_the_pointwise_values():
     kripke = PredKripkeModel(expanding_pframe(), {"P": {
         "a": frozenset({("d",)}), "b": frozenset({("d",), ("e",)})}})
