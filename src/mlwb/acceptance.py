@@ -34,6 +34,7 @@ from .predicate import PredKripkeFrame, PredKripkeModel, PredNFrame, \
     converse_barcan_formula, eval_pred_kripke, pullback_kk, \
     pred_truth_preservation_test, random_pred_formula
 from .predicate import truth_set as pred_truth_set
+from .predicate import truth_vectors as pred_truth_vectors
 from .pipeline import parse_scenario, render_report, run_pipeline
 from .syntax import Box, Falsum, Implies, Letter, neg
 
@@ -344,15 +345,20 @@ def criterion_10_barcan() -> dict:
             space = NFrame(frozenset(points),
                            {x: tuple(combo[i]) for i, x in enumerate(points)})
             for dom in (("d",), ("d", "e")):
-                pnf = PredNFrame(space, frozenset(dom))
                 # with one element the last two rows coincide: each
                 # distinct valuation is checked once
                 options = dict.fromkeys((frozenset(), frozenset({(dom[0],)}),
                                          frozenset((d,) for d in dom)))
-                for rows in itertools.product(options, repeat=n_points):
-                    model = PredNModel(pnf, {"P": dict(zip(points, rows))})
-                    checked += 1
-                    failures += n_points - len(pred_truth_set(model, barcan))
+                family = [{"P": dict(zip(points, rows))} for rows in
+                          itertools.product(options, repeat=n_points)]
+                # one model of the frame; bit k of a point's value is
+                # Barcan's value there under the k-th valuation
+                model = PredNModel(PredNFrame(space, frozenset(dom)),
+                                   family[0])
+                values = pred_truth_vectors(model, barcan, family)
+                checked += len(family)
+                failures += sum(len(family) - v.bit_count()
+                                for v in values.values())
     # the expanding-domain refutation of Barcan on the Kripke side
     chain = KripkeFrame(frozenset({"u", "v"}), frozenset({("u", "v")}), "u")
     witness = PredKripkeModel(

@@ -333,12 +333,24 @@ def next_frame(length: int) -> KripkeFrame:
     return KripkeFrame.make(worlds, rel, root="r")
 
 
+# the most letters the witness words of ``counterexample_g`` have: about
+# k_max = 1000, which takes a fifth of a second; the work grows with k_max^2
+WITNESS_LETTERS = 2 ** 20
+
+
 def counterexample_g(k_max: int = 10) -> dict:
     """Certified failure of ``dia p -> box p`` on the dense frame over the
     next-relation chain, against its Kripke-side validity, with a p-true and
-    a p-false member of U_k(eps) for each k up to ``k_max``."""
+    a p-false member of U_k(eps) for each k up to ``k_max``.  The witness
+    words have (k_max + 1)(k_max + 3) letters in all, counted before any is
+    built: more than ``WITNESS_LETTERS`` raise ``BudgetExceeded``."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    letters = (k_max + 1) * (k_max + 3)
+    if letters > WITNESS_LETTERS:
+        raise BudgetExceeded(
+            f"witnesses up to k_max = {k_max} have {letters} letters, over"
+            f" the budget WITNESS_LETTERS = {WITNESS_LETTERS}")
     frame = next_frame(k_max + 3)
     df = DenseFrame(frame, depth=3)
     parity = ParityVal("1", 0)

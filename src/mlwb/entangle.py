@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .dense import DenseFrame, canonical, dropped, st, uk_members
 from .kripke import (
-    STOP, EvaluationError, KripkeFrame, KripkeMorphism, Verdict, grow_words,
+    STOP, BudgetExceeded, EvaluationError, KripkeFrame, KripkeMorphism,
+    Verdict, grow_words,
 )
 from .predicate import PredKKMorphism, PredKripkeFrame, check_agreement, \
     check_domain_maps, check_kk_morphism
@@ -285,6 +286,13 @@ def xi_locality_check(space: EntangleSpace, df: DenseFrame, alpha, gamma) -> dic
 # the constant domain D* and its classes at a point
 
 
+# the most words ``enumerate_dstar`` builds, and the most classes a D-sharp
+# domain of ``PsiMaps`` holds; the bundled scenarios and the benchmark's
+# seed-3 and seed-5 ones reach 585 words and 209 classes
+DSTAR_WORDS = 2 ** 16
+DSHARP_CLASSES = 2 ** 16
+
+
 def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     """Canonical domain stop words with at most max_sigma letters and zero
     runs capped at gap_max.
@@ -296,8 +304,17 @@ def enumerate_dstar(sigma2, max_sigma: int, gap_max: int) -> list:
     letter's position, and every position of alpha is at most st(alpha).
     So a zero run of length >= st(alpha) consumes every letter of alpha
     still left, and a longer run consumes nothing more: shortening it to
-    gap_max leaves xi(alpha, gamma), hence eta(alpha, gamma), as it was."""
+    gap_max leaves xi(alpha, gamma), hence eta(alpha, gamma), as it was.
+
+    The words are counted before any is built, and more than
+    ``DSTAR_WORDS`` of them raise ``BudgetExceeded``."""
     steps = [(STOP,) * gap + (s,) for gap in range(gap_max + 1) for s in sigma2]
+    count = sum(len(steps) ** k for k in range(max_sigma + 1))
+    if count > DSTAR_WORDS:
+        raise BudgetExceeded(
+            f"the D* family with max_sigma = {max_sigma} and zero runs up to"
+            f" {gap_max} has {count} words, over the budget DSTAR_WORDS ="
+            f" {DSTAR_WORDS}")
     return grow_words(lambda word: steps, max_sigma)
 
 
@@ -364,10 +381,11 @@ class PsiMaps(dict):
     checks read it there (``check_psi_maps``, and the pipeline's
     ``xi_surjectivity_check`` through ``domain``).
 
-    Set-up refuses an alphabet that is too small at some closed path,
-    counting its fresh classes (``fresh_count``) instead of listing them,
-    and makes ``phi0``, psi's frame part: each path to its endpoint, with
-    lifting promised at the interior paths."""
+    Set-up counts the classes born at each closed path (``fresh_count``)
+    instead of listing them.  It refuses a D-sharp domain of more than
+    ``DSHARP_CLASSES`` classes and an alphabet that is too small at some
+    closed path, and makes ``phi0``, psi's frame part: each path to its
+    endpoint, with lifting promised at the interior paths."""
 
     def __init__(self, space: EntangleSpace, target: PredKripkeFrame,
                  dense: DenseFrame, max_sigma: int):
@@ -389,6 +407,11 @@ class PsiMaps(dict):
             fresh_count(n, len(space.sigma2), max_sigma)
             for n in range(max(map(len, closed.worlds)))]
         fresh[0] += 1  # the root's domain also holds the empty class
+        if sum(fresh) > DSHARP_CLASSES:
+            raise BudgetExceeded(
+                f"the D-sharp domain at a closed path of length {len(fresh)}"
+                f" has {sum(fresh)} classes with max_sigma = {max_sigma},"
+                f" over the budget DSHARP_CLASSES = {DSHARP_CLASSES}")
         short = [p for p in closed.worlds
                  if fresh[len(p) - 1] < len(_new(target.domain, p))]
         if short:

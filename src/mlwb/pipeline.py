@@ -9,9 +9,12 @@ the composed morphism and evaluate the target formula at the all-stops
 point of the dense frame, then check the (f0, xi) morphism and the
 composition at the points that evaluation visited.
 
-Dense-side predicate evaluation is the one predicate evaluator,
-``predicate.PredEvaluator``, over the hooks of ``DenseEvaluator``; it works
-directly on pseudo-infinite paths and is exact.  The domain maps are local:
+Dense-side predicate evaluation is ``predicate.PredEvaluator``, the lazy
+three-valued evaluator, over the hooks of ``DenseEvaluator``; it works
+directly on pseudo-infinite paths and is exact.  The Kripke root value it
+is compared with comes from the other evaluator, ``predicate.truth_vectors``
+(through ``eval_pred_kripke``), so that one fault in a rule cannot make the
+two sides agree.  The domain maps are local:
 past the stopping length of every word in the environment, the zero
 paddings of an extension family do not change the image of any word, so
 the box quantifier evaluates each family once, unpadded, and the universal
@@ -332,7 +335,9 @@ class ClassTables(dict):
     hits every class that a word with at most max_sigma letters hits at
     alpha, then the overflow words (max_sigma + 1 copies of the first
     domain letter after at most st(alpha) zeros), which stand for the
-    classes beyond the truncated domains."""
+    classes beyond the truncated domains.  ``enumerate_dstar`` counts the
+    family before it builds it, so a family past its budget fails the
+    evaluation stage with ``BudgetExceeded``."""
 
     def __init__(self, classes: XiClasses, max_sigma: int):
         super().__init__()
@@ -383,7 +388,8 @@ def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
 
 class DenseEvaluator(PredEvaluator):
     """Exact predicate evaluation at points of the dense frame: the three
-    hooks of ``predicate.PredEvaluator``, whose ``eval`` it inherits.  env
+    hooks of ``predicate.PredEvaluator``, whose ``eval`` it inherits (the
+    finite models have an evaluator of their own).  env
     maps each variable to its constant-domain stop word and the point that
     bound it; a box ranges over one family, a ``forall`` binds (word, point)
     for each entry of the point's class table, and an atom reads each

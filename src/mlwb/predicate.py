@@ -1,14 +1,23 @@
 """Predicate semantics: expanding-domain Kripke frames, constant-domain
 neighbourhood frames, and the two predicate p-morphism notions.
 
-One evaluator, ``PredEvaluator``, computes predicate truth for every model:
-a Kripke model is the principal-filter case of a neighbourhood model, and
-the dense frame of ``pipeline`` is a neighbourhood frame with a lazy model.
-A model supplies three hooks: the sets a box ranges over, the values a
-``forall`` binds (the local domain on the Kripke side, the single constant
+Two evaluators, kept apart on purpose.  ``truth_vectors`` evaluates a
+closed formula on a finite model, once for a whole family of valuations of
+its frame: a point's value is an int whose bit k is the value under the
+k-th valuation, as in ``kripke._truth_vectors``.  ``truth_set``,
+``eval_pred_kripke`` and ``eval_pred_nbhd`` are its one-valuation case.
+``PredEvaluator`` is the lazy three-valued evaluator of the dense model of
+``pipeline``, which holds more points than any walk can visit.  The
+pipeline compares a Kripke root value with a dense one, so if both came
+from one recursion, a fault in its rules would make the two sides agree.
+
+Both read a model the same way: a Kripke model is the principal-filter
+case of a neighbourhood model, so a box ranges over a filter base (the
+successors, on the Kripke side), and a ``forall`` binds the point's
+quantifier domain (the local domain on the Kripke side, the single constant
 domain on the neighbourhood side -- the asymmetry behind the Barcan
-formula's different status in the two semantics) and how an atom reads its
-arguments.  Evaluation is defined for closed formulas.
+formula's different status in the two semantics).  Evaluation is defined
+for closed formulas.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ PredFormula = Formula
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the dense model's evaluator
 
 
 class Undecided(Exception):
@@ -47,7 +56,7 @@ class PredEvaluator:
     bindings of a ``forall`` is false at its first false part, and otherwise
     carries the witness of its first undecided part.
 
-    A model supplies three hooks:
+    The dense model (``pipeline.DenseEvaluator``) supplies three hooks:
 
     - ``boxes(x, env)``: the sets a box at ``x`` ranges over; the box holds
       iff its body holds throughout one of them.  It may raise
@@ -55,7 +64,8 @@ class PredEvaluator:
     - ``binds(x)``: the values a ``forall`` at ``x`` binds its variable to;
     - ``atom(x, a, env)``: the truth of the atom ``a`` at ``x``.
 
-    A finite model never raises ``Undecided``, so its values are bools."""
+    Finite models are evaluated by ``truth_vectors`` instead, so that the
+    pipeline's Kripke root value does not rest on these rules."""
 
     def eval(self, x, a: Formula, env: dict):
         if isinstance(a, Falsum):
@@ -102,43 +112,79 @@ class PredEvaluator:
         raise EvaluationError(f"unsupported formula node {a!r}")
 
 
-class _FiniteModel(PredEvaluator):
-    """The hooks of a finite model whose ``__post_init__`` sets ``base``
-    (point -> filter base) and ``binding`` (point -> its quantifier domain,
-    sorted once) and calls ``_set_arities``: an atom reads its arguments
-    from ``env``."""
+# ---------------------------------------------------------------------------
+# frames and finite models
 
-    def _set_arities(self) -> None:
-        """Set ``arities``: each predicate's row arity, or None when it has
-        no rows; refuse a predicate whose rows have two arities."""
-        arities = {}
-        for name, per_point in self.valuation.items():
-            arity = None
-            for rows in per_point.values():
-                for t in rows:
-                    if arity is None:
-                        arity = len(t)
-                    elif len(t) != arity:
-                        raise ValueError(f"inconsistent arity for {name!r}")
-            arities[name] = arity
+
+class _FiniteModel:
+    """A finite model.  Its ``__post_init__`` hands ``_set_frame`` the
+    frame's filter bases (point -> tuple of sets) and quantifier domains
+    (point -> the frozenset a ``forall`` there binds).  A subclass names its
+    points (``point_kind``) and what an element outside a point's domain
+    leaves (``outside``) for the refusals."""
+
+    def _set_frame(self, base: dict, domains: dict) -> None:
+        """Set ``domains``, ``index`` and the model's own ``arities`` and
+        ``rows`` (``read_valuations``).  ``index`` is the frame as
+        ``_truth_vectors`` reads it: the points in a fixed order, each
+        point's position, each position's filter base as lists of
+        positions, and each element's bit-mask of the positions whose
+        domain lacks it."""
+        points = list(domains)
+        position = {x: i for i, x in enumerate(points)}
+        present = {}
+        for i, x in enumerate(points):
+            for d in domains[x]:
+                present[d] = present.get(d, 0) | 1 << i
+        every = (1 << len(points)) - 1
+        index = (points, position,
+                 [[[position[y] for y in u] for u in base[x]] for x in points],
+                 {d: every ^ mask for d, mask in present.items()})
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "index", index)
+        (arities,), rows = self.read_valuations([self.valuation])
         object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "rows", rows)
 
-    def boxes(self, x, env):
-        return self.base[x]
-
-    def binds(self, x):
-        return self.binding[x]
-
-    def atom(self, x, a, env):
-        return self.holds(a.name, x, tuple([env[t.name] for t in a.args]))
+    def read_valuations(self, valuations: list) -> tuple:
+        """(each valuation's arities, the rows of all of them) for
+        valuations of this model's frame.  An arity is None when the
+        predicate has no rows.  The rows map predicate -> row -> the int
+        whose bit i * len(valuations) + k says that the row holds at the
+        point of position i (in ``index``) under ``valuations[k]``.
+        Refuses rows of two arities, a point the frame lacks and a row with
+        an element outside its point's domain."""
+        position, width = self.index[1], len(valuations)
+        tables, rows = [], {}
+        for k, valuation in enumerate(valuations):
+            arities = {}
+            for name, per_point in valuation.items():
+                arity = None
+                by_row = rows.setdefault(name, {})
+                for x, ts in per_point.items():
+                    domain = self.domains.get(x)
+                    if domain is None:
+                        raise ValueError(f"valuation of {name!r} at {x!r}: the"
+                                         f" frame has no {self.point_kind}"
+                                         f" {x!r}")
+                    bit = 1 << position[x] * width + k
+                    for t in ts:
+                        if arity is None:
+                            arity = len(t)
+                        elif len(t) != arity:
+                            raise ValueError(
+                                f"inconsistent arity for {name!r}")
+                        if not domain.issuperset(t):
+                            raise ValueError(f"valuation of {name!r} at"
+                                             f" {x!r} {self.outside}: {t!r}")
+                        by_row[t] = by_row.get(t, 0) | bit
+                arities[name] = arity
+            tables.append(arities)
+        return tables, rows
 
     def holds(self, name: str, w, args: tuple) -> bool:
         """``check_formula`` has refused a predicate without a valuation."""
         return args in self.valuation[name].get(w, ())
-
-
-# ---------------------------------------------------------------------------
-# frames and models
 
 
 @dataclass(frozen=True)
@@ -174,25 +220,14 @@ class PredKripkeModel(_FiniteModel):
     pframe: PredKripkeFrame
     valuation: dict  # predicate name -> world -> frozenset of tuples
 
+    point_kind = "world"
+    outside = "uses elements outside the local domain"
+
     def __post_init__(self):
         # the principal filter base (the successors) and the local domain
         frame = self.pframe.frame
-        object.__setattr__(self, "base",
-                           {w: (frame.successors(w),) for w in frame.worlds})
-        object.__setattr__(self, "binding", {
-            w: tuple(sorted(d)) for w, d in self.pframe.domains.items()})
-        self._set_arities()
-        for name, per_world in self.valuation.items():
-            for w, rows in per_world.items():
-                if w not in self.pframe.domains:
-                    raise ValueError(f"valuation of {name!r} at {w!r}: the"
-                                     f" frame has no world {w!r}")
-                dom = self.pframe.domain(w)
-                for t in rows:
-                    if not set(t) <= dom:
-                        raise ValueError(
-                            f"valuation of {name!r} at {w!r} uses elements"
-                            f" outside the local domain: {t!r}")
+        self._set_frame({w: (frame.successors(w),) for w in frame.worlds},
+                        self.pframe.domains)
 
 
 @dataclass(frozen=True)
@@ -211,23 +246,18 @@ class PredNModel(_FiniteModel):
     pframe: PredNFrame
     valuation: dict  # predicate name -> point -> frozenset of tuples
 
+    point_kind = "point"
+    outside = "leaves D*"
+
     def __post_init__(self):
         # the filter bases, and D* everywhere
         space = self.pframe.space
-        object.__setattr__(self, "base", space.base)
-        object.__setattr__(self, "binding", dict.fromkeys(
-            space.points, tuple(sorted(self.pframe.dstar))))
-        self._set_arities()
-        for name, per_point in self.valuation.items():
-            for x, rows in per_point.items():
-                for t in rows:
-                    if not set(t) <= self.pframe.dstar:
-                        raise ValueError(
-                            f"valuation of {name!r} at {x!r} leaves D*: {t!r}")
+        self._set_frame(space.base,
+                        dict.fromkeys(space.points, self.pframe.dstar))
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# evaluation on finite models
 
 
 def eval_pred_kripke(model: PredKripkeModel, u, a: PredFormula) -> bool:
@@ -241,14 +271,93 @@ def eval_pred_nbhd(model: PredNModel, x, a: PredFormula) -> bool:
 def truth_set(model: _FiniteModel, a: PredFormula) -> frozenset:
     """The points of a finite model where ``a`` holds; ``a`` is checked once."""
     check_formula(model, a)
-    return frozenset(x for x in model.binding if model.eval(x, a, {}))
+    value = _truth_vectors(model.index, a, model.rows, 1)
+    return frozenset(x for i, x in enumerate(model.index[0]) if value >> i & 1)
 
 
 def _evaluate(model: _FiniteModel, x, a: PredFormula) -> bool:
-    if x not in model.binding:
+    i = model.index[1].get(x)
+    if i is None:
         raise EvaluationError(f"unknown point {x!r}")
     check_formula(model, a)
-    return model.eval(x, a, {})
+    return _truth_vectors(model.index, a, model.rows, 1) >> i & 1 == 1
+
+
+def truth_vectors(model: _FiniteModel, a: PredFormula, valuations) -> dict:
+    """Point -> an int whose bit k is the value of the closed formula ``a``
+    at the point under ``valuations[k]``, a valuation of the frame of
+    ``model`` (whose own valuation is not read).  Each valuation is refused
+    as the model's constructor refuses its own (``read_valuations``), and
+    ``a`` as ``check_formula`` refuses it against each; ``a`` is scanned
+    once."""
+    valuations = list(valuations)
+    atoms = _closed_atoms(a)
+    tables, rows = model.read_valuations(valuations)
+    for arities in tables:
+        _check_atoms(atoms, arities)
+    points, width = model.index[0], len(valuations)
+    if not width:
+        return dict.fromkeys(points, 0)
+    value = _truth_vectors(model.index, a, rows, width)
+    full = (1 << width) - 1
+    return {x: value >> i * width & full for i, x in enumerate(points)}
+
+
+def _truth_vectors(index: tuple, a: PredFormula, rows: dict,
+                   width: int) -> int:
+    """The value of the checked closed formula ``a`` at every point of a
+    finite model's ``index`` under ``width`` valuations, as one int: bit
+    i * width + k is the value at the point of position i under valuation
+    k.  ``rows`` gives each atom's value the same way (``read_valuations``).
+    So an implication is one operation on ints, and a ``forall`` one per
+    element.
+
+    A subformula under ``env`` is evaluated at every point at once, also
+    where an element of ``env`` lies outside the local domain.  Those
+    values are never read: a ``forall`` reads its body only where it bound
+    the element, and a box reads successors, whose domains hold every
+    element of the point's."""
+    points, _, members, absent = index
+    full = (1 << width) - 1
+    every = (1 << len(points) * width) - 1
+    if width > 1:  # each position's bit becomes all its valuations' bits
+        absent = {d: sum(full << i * width for i in range(len(points))
+                         if mask >> i & 1) for d, mask in absent.items()}
+
+    def ev(b, env):
+        if isinstance(b, Atom):
+            return rows[b.name].get(tuple([env[t.name] for t in b.args]), 0)
+        if isinstance(b, Implies):
+            left = ev(b.left, env)
+            if not left:  # false everywhere, under every valuation
+                return every
+            return (every ^ left) | ev(b.right, env)
+        if isinstance(b, Box):
+            body = ev(b.body, env)
+            out = 0
+            for i, base in enumerate(members):
+                value = 0
+                for u in base:
+                    part = full
+                    for j in u:
+                        part &= body >> j * width
+                    value |= part
+                out |= value << i * width
+            return out
+        if isinstance(b, Forall):
+            out = every
+            inner = dict(env)  # rebound per element; ``ev`` keeps no env
+            for d, outside in absent.items():
+                if not out:
+                    break
+                inner[b.var] = d
+                body = ev(b.body, inner)
+                out &= body | outside
+            return out
+        if isinstance(b, Falsum):
+            return 0
+        raise EvaluationError(f"unsupported formula node {b!r}")
+    return ev(a, {})
 
 
 def check_formula(model: _FiniteModel, a: PredFormula) -> None:
@@ -256,17 +365,29 @@ def check_formula(model: _FiniteModel, a: PredFormula) -> None:
     reaches: a free variable, a variable bound again inside its scope, and
     an atom whose predicate has no valuation entry in ``model`` or rows of
     another arity (a predicate whose rows are all empty has no arity)."""
+    _check_atoms(_closed_atoms(a), model.arities)
+
+
+def _closed_atoms(a: PredFormula) -> list:
+    """The (predicate, argument count) of each atom of ``a``, once ``a`` is
+    found closed and without a variable bound again inside its scope."""
     free, rebound, atoms = term_scan(a)
     if free:
         raise EvaluationError(f"formula must be closed; free: {sorted(free)}")
     if rebound:
         raise EvaluationError(f"variables {sorted(rebound)} are bound again"
                               f" inside their scope")
+    return atoms
+
+
+def _check_atoms(atoms, arities: dict) -> None:
+    """Refuse an atom whose predicate has no entry in ``arities``, one
+    valuation's arities, or rows of another arity."""
     for name, arity in atoms:
-        if name not in model.arities:
+        if name not in arities:
             raise EvaluationError(f"predicate {name!r} has no valuation"
                                   " entry")
-        found = model.arities[name]
+        found = arities[name]
         if found is not None and found != arity:
             raise EvaluationError(
                 f"predicate {name!r} is applied at arity {arity},"

@@ -74,16 +74,17 @@ def test_criterion_9_join_counts_every_pair(monkeypatch, mutant):
 
 
 def test_criterion_10_visits_the_one_element_domain(monkeypatch):
-    """A truth set that loses a point only on one-element constant domains
-    fails criterion 10: those valuations are still checked after the
-    repeated ones are dropped."""
-    truth_set = acceptance.pred_truth_set
+    """Truth vectors that lose one valuation's bit at one point, only on
+    one-element constant domains, fail criterion 10: those valuations are
+    still checked after the repeated ones are dropped."""
+    truth_vectors = acceptance.pred_truth_vectors
 
-    def drop_one(model, formula):
-        points = truth_set(model, formula)
+    def clear_one(model, formula, valuations):
+        values = truth_vectors(model, formula, valuations)
         if isinstance(model, PredNModel) and len(model.pframe.dstar) == 1:
-            return points - {min(points)} if points else points
-        return points
+            x = min(values)
+            values = {**values, x: values[x] & ~1}
+        return values
 
-    monkeypatch.setattr(acceptance, "pred_truth_set", drop_one)
+    monkeypatch.setattr(acceptance, "pred_truth_vectors", clear_one)
     assert not acceptance.criterion_10_barcan()["ok"]

@@ -409,6 +409,16 @@ class TestCounterexample:
         assert rep["witnesses"][1] == ("001", "01")
         assert rep["kripke_validates_dia_p_implies_box_p"]
 
+    def test_kmax_counts_before_building(self, monkeypatch):
+        """(k_max + 1)(k_max + 3) witness letters: past
+        ``WITNESS_LETTERS`` the call raises before it builds the frame."""
+        import mlwb.dense
+        monkeypatch.setattr(mlwb.dense, "next_frame", None)
+        with pytest.raises(BudgetExceeded, match=(
+                "k_max = 1023 have 1050624 letters, over the budget"
+                " WITNESS_LETTERS = 1048576")):
+            counterexample_g(1023)
+
     def test_rejects_tiny_kmax(self):
         with pytest.raises(ValueError):
             counterexample_g(1)

@@ -5,10 +5,11 @@ import pytest
 
 from mlwb.dense import DenseFrame, STOP, f0
 from mlwb.horn import parse_horn_theory
-from mlwb.kripke import EvaluationError, KripkeFrame, Verdict
+from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame, Verdict
 from mlwb.entangle import (
-    EntangleSpace, build_psi, canonicalize, decompositions, dsharp,
-    entangle_enumerate, equiv, equiv_bruteforce, fresh_classes,
+    EntangleSpace, PsiMaps, build_psi, canonicalize, decompositions, dsharp,
+    entangle_enumerate, enumerate_dstar, equiv, equiv_bruteforce,
+    fresh_classes,
     fresh_count, h, is_entangled, p1, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
@@ -335,3 +336,32 @@ class TestBuildPsi:
         target = PredKripkeFrame(frame, {"r": {"d"}, "a": {"d", "e"}})
         m = build_psi(sp, target, DenseFrame(frame, depth=4), max_sigma=2)
         assert check_kk_morphism(m)
+
+
+def test_dstar_family_counts_before_building(monkeypatch):
+    """With max_sigma = 40 the family at a point with st = 0 has 2^41 - 1
+    words: the count passes ``DSTAR_WORDS`` and raises before any word is
+    built.  A family of the bundled size still builds."""
+    import mlwb.entangle
+    assert len(enumerate_dstar(("1", "2"), 2, 4)) == 111
+    monkeypatch.setattr(mlwb.entangle, "grow_words", None)
+    with pytest.raises(BudgetExceeded, match=(
+            "has 2199023255551 words, over the budget DSTAR_WORDS = 65536")):
+        enumerate_dstar(("1", "2"), 40, 0)
+
+
+def test_dsharp_domains_count_before_building(monkeypatch):
+    """psi's set-up counts the D-sharp classes at its longest closed path
+    and refuses more than ``DSHARP_CLASSES`` before it builds a domain."""
+    import mlwb.entangle
+    for name in ("dsharp", "fresh_classes"):
+        monkeypatch.setattr(mlwb.entangle, name, None)
+    space = chain_space()
+    target = PredKripkeFrame(space.frame,
+                             {w: {"d"} for w in space.frame.worlds})
+    df = DenseFrame(space.frame, depth=4)
+    assert PsiMaps(space, target, df, 3).fresh_counts == [15, 34, 62, 98]
+    with pytest.raises(BudgetExceeded, match=(
+            "length 4 has .* classes with max_sigma = 40, over the budget"
+            " DSHARP_CLASSES = 65536")):
+        PsiMaps(space, target, df, 40)

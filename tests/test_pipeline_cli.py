@@ -305,6 +305,22 @@ class TestPipeline:
         assert report.dense_value is False
         assert report.kripke_value is False
 
+    def test_max_sigma_past_the_budget_fails_the_psi_stage(self,
+                                                           monkeypatch):
+        """max_sigma = 40 would give the root a D-sharp domain of 2^41 - 1
+        classes and each forall a family of about as many words: psi's
+        set-up counts them and fails its stage before any is built."""
+        import mlwb.entangle
+        for name in ("dsharp", "fresh_classes", "grow_words"):
+            monkeypatch.setattr(mlwb.entangle, name, None)
+        report = run_pipeline(parse_scenario(
+            BARCAN.replace("max_sigma = 2", "max_sigma = 40"), "barcan"))
+        stage = report.stages[-1]
+        assert stage.name == "psi-morphism" and not stage.ok
+        assert "over the budget DSHARP_CLASSES = 65536" in \
+            stage.detail["error"]
+        assert not report.ok
+
     def test_deterministic(self):
         r1 = run_pipeline(parse_scenario(BARCAN, "barcan"))
         r2 = run_pipeline(parse_scenario(BARCAN, "barcan"))
@@ -596,6 +612,15 @@ witnesses per neighbourhood (p-true word / p-false word):
 kripke side validates dia p -> box p: True
 result: ok
 """
+
+    def test_dense_counterexample_over_budget_exits_2(self, monkeypatch,
+                                                      capsys):
+        """The witnesses are counted before the frame is built."""
+        import mlwb.dense
+        monkeypatch.setattr(mlwb.dense, "next_frame", None)
+        assert main(["dense", "counterexample", "--kmax", "100000000"]) == 2
+        assert "over the budget WITNESS_LETTERS = 1048576" in \
+            capsys.readouterr().err
 
     def test_repeated_val_line_exits_2(self, tmp_path, capsys):
         m = tmp_path / "model.txt"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -10,9 +11,9 @@ from mlwb.predicate import (
     PredNModel, barcan_formula, check_kk_morphism, check_nk_morphism,
     converse_barcan_formula, eval_pred_kripke, eval_pred_nbhd, parse_domains,
     parse_pred_valuation, pred_truth_preservation_test, pullback_kk,
-    pullback_nk, random_pred_formula, truth_set,
+    pullback_nk, random_pred_formula, truth_set, truth_vectors,
 )
-from mlwb.syntax import Atom, Falsum, Forall, Implies, Var, parse_pred
+from mlwb.syntax import Atom, Box, Falsum, Forall, Implies, Var, parse_pred
 
 
 def compose_morphisms(nk: PredNKMorphism, kk: PredKKMorphism) -> PredNKMorphism:
@@ -217,6 +218,149 @@ def test_truth_set_collects_the_pointwise_values():
                 {x for x in "rab" if evaluate(model, x, a)}
         with pytest.raises(EvaluationError, match="formula must be closed"):
             truth_set(model, Implies(Falsum(), _p(Var("x"))))
+
+
+# ---------------------------------------------------------------------------
+# truth vectors against a pointwise reference
+
+
+REFERENCE_PREDS = {"P": 1, "R": 2, "Q": 0}
+
+
+def _frame_of(model):
+    """The points of a finite model and, at each, the elements a ``forall``
+    binds there, read off its frame: the local domain on the Kripke side,
+    D* on the neighbourhood side."""
+    if isinstance(model, PredKripkeModel):
+        return model.pframe.frame.worlds, model.pframe.domains.__getitem__
+    return model.pframe.space.points, lambda x: model.pframe.dstar
+
+
+def _reference(model, valuation, x, a, env):
+    """Predicate truth at ``x`` under one valuation, from the definitions,
+    one point at a time.  On a Kripke model a box ranges over the
+    successors of ``x`` (read off the relation) and ``forall`` over the
+    local domain of ``x``; on a neighbourhood model a box holds iff its
+    body holds throughout some member of the filter base, and ``forall``
+    ranges over D*.  It shares no code with ``truth_vectors`` or
+    ``PredEvaluator.eval``."""
+    if isinstance(model, PredKripkeModel):
+        frame = model.pframe.frame
+        members = [{v for u, v in frame.relation if u == x}]
+    else:
+        members = model.pframe.space.base[x]
+    if isinstance(a, Falsum):
+        return False
+    if isinstance(a, Atom):
+        args = tuple(env[t.name] for t in a.args)
+        return args in valuation[a.name].get(x, frozenset())
+    if isinstance(a, Implies):
+        return (not _reference(model, valuation, x, a.left, env)
+                or _reference(model, valuation, x, a.right, env))
+    if isinstance(a, Box):
+        return any(all(_reference(model, valuation, y, a.body, env)
+                       for y in u) for u in members)
+    if isinstance(a, Forall):
+        return all(_reference(model, valuation, x, a.body, {**env, a.var: d})
+                   for d in _frame_of(model)[1](x))
+    raise TypeError(a)
+
+
+def _random_valuation(rng, model):
+    """Rows over each point's quantifier domain for P, R and Q; some points
+    get no entry at all."""
+    points, domain = _frame_of(model)
+    return {name: {x: frozenset(t for t in itertools.product(
+                       sorted(domain(x)), repeat=arity) if rng.random() < 0.5)
+                   for x in sorted(points) if rng.random() < 0.8}
+            for name, arity in REFERENCE_PREDS.items()}
+
+
+def _reference_models():
+    """Two Kripke and two neighbourhood models; ``truth_vectors`` reads only
+    their frames.  The looped Kripke frame branches and cycles, and the
+    second n-frame has a point with two base members and one whose only
+    member is empty."""
+    looped = KripkeFrame.make(
+        ["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "a"), ("b", "a")],
+        root="r")
+    space = NFrame.make("rab", {"r": [{"a", "b"}, {"a"}], "a": [{"b"}],
+                                "b": [set()]})
+    return [
+        PredKripkeModel(expanding_pframe(), {}),
+        PredKripkeModel(PredKripkeFrame(looped, {"r": {"d"}, "a": {"d", "e"},
+                                                 "b": {"d", "e"}}), {}),
+        PredNModel(PredNFrame(nf_from_kripke(two_chain()), {"d", "e"}), {}),
+        PredNModel(PredNFrame(space, {"d", "e"}), {}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["kripke-chain",
+                                                "kripke-looped",
+                                                "nbhd-chain", "nbhd-two-sets"])
+def test_truth_vectors_agree_with_a_pointwise_reference(case):
+    """Bit k of a point's truth vector is the reference value at the point
+    under the k-th valuation of a random family, for random closed formulas
+    of modal depth <= 2."""
+    model = _reference_models()[case]
+    points = _frame_of(model)[0]
+    rng = random.Random(23 + case)
+    for _ in range(80):
+        family = [_random_valuation(rng, model)
+                  for _ in range(rng.randint(1, 6))]
+        a = random_pred_formula(rng, REFERENCE_PREDS, depth=2)
+        values = truth_vectors(model, a, family)
+        assert set(values) == points
+        for x in points:
+            assert 0 <= values[x] < 1 << len(family)
+            for k, valuation in enumerate(family):
+                assert (values[x] >> k & 1) == \
+                    _reference(model, valuation, x, a, {}), (x, k, a)
+
+
+def _refusal_cases():
+    """(model class, frame, valuation that the model refuses, formula)."""
+    kripke, nbhd = expanding_pframe(), PredNFrame(
+        nf_from_kripke(two_chain()), {"d", "e"})
+    cases = []
+    for cls, pframe, outside in ((PredKripkeModel, kripke, "e"),
+                                 (PredNModel, nbhd, "z")):
+        cases += [
+            (cls, pframe, {"P": {"a": {("d",)}, "b": {("d", "e")}}},
+             "forall x. P(x)"),
+            (cls, pframe, {"P": {"r": {(outside,)}}}, "forall x. P(x)"),
+            (cls, pframe, {"P": {"zz": frozenset()}}, "forall x. P(x)"),
+            (cls, pframe, {"Q": {}}, "forall x. P(x)"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "cls,pframe,bad,text", _refusal_cases(),
+    ids=[f"{kind}-{what}" for kind in ("kripke", "nbhd")
+         for what in ("mixed-arity", "outside-domain", "unknown-point",
+                      "missing-predicate")])
+def test_truth_vectors_refuse_a_family_member_as_the_model_does(
+        cls, pframe, bad, text):
+    """A family member that the model constructor or ``truth_set`` refuses
+    is refused with the same message, wherever it sits in the family."""
+    a = parse_pred(text)
+    with pytest.raises(ValueError) as one:
+        truth_set(cls(pframe, bad), a)
+    good = {"P": {"a": frozenset({("d",)})}}
+    model = cls(pframe, good)
+    for family in ([bad], [good, bad], [good, good, bad, good]):
+        with pytest.raises(ValueError) as batched:
+            truth_vectors(model, a, family)
+        assert str(batched.value) == str(one.value)
+
+
+def test_truth_vectors_refuse_an_open_formula_over_an_empty_family():
+    """An open formula is refused even over an empty family."""
+    model = PredNModel(PredNFrame(nf_from_kripke(two_chain()), {"d"}), {})
+    with pytest.raises(EvaluationError, match="formula must be closed"):
+        truth_vectors(model, _p(Var("x")), [])
+    assert truth_vectors(model, Falsum(), []) == dict.fromkeys("rab", 0)
 
 
 class TestKKMorphisms:

@@ -40,21 +40,36 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def test_one_predicate_evaluator():
-    """Only the syntax module and the one predicate evaluator branch on
-    ``Forall``: a model supplies what a ``forall`` binds through a hook, so
-    a second evaluator would show up here."""
+def _branches_on_forall(node) -> bool:
+    return any(isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "isinstance"
+               and any(isinstance(n, ast.Name) and n.id == "Forall"
+                       for arg in call.args[1:] for n in ast.walk(arg))
+               for call in ast.walk(node))
+
+
+def test_two_predicate_evaluators():
+    """Outside the syntax module, exactly two definitions branch on
+    ``Forall``, both in ``predicate``: ``_truth_vectors``, which evaluates
+    a finite model under a family of valuations at once, and
+    ``PredEvaluator.eval``, the dense model's lazy three-valued evaluator.
+    They are kept apart so that the pipeline's Kripke root value and its
+    dense value do not come from one recursion; a third evaluator would
+    show up here.  A definition is a module-level function, a method, or
+    any other statement of a module or class body."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
-        if path.name in ("syntax.py", "predicate.py"):
+        if path.name == "syntax.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", None) == "isinstance"
-                  and any(isinstance(n, ast.Name) and n.id == "Forall"
-                          for arg in node.args[1:] for n in ast.walk(arg))]
-    assert not found, found
+        for top in tree.body:
+            parts = [(f"{top.name}.{getattr(node, 'name', '<body>')}", node)
+                     for node in top.body] if isinstance(top, ast.ClassDef) \
+                else [(getattr(top, "name", "<module>"), top)]
+            found += [f"{path.stem}.{name}" for name, node in parts
+                      if _branches_on_forall(node)]
+    assert sorted(found) == ["predicate.PredEvaluator.eval",
+                             "predicate._truth_vectors"], found
 
 
 def test_one_walk_of_h():
