@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .horn import HornTheory, chain_axiom_powers, gamma_close
+from .horn import HornTheory, chain_axiom_powers
 from .kripke import (
     STOP, BudgetExceeded, EvaluationError, KripkeFrame, Verdict,
     brute_validity, grow_words, successor_map, unravel,
@@ -112,9 +112,24 @@ class DenseFrame:
     """Bounded description of N_omega(F), optionally Gamma-relativized.
 
     The Gamma-closure of the unravelling is realized on the depth-truncated
-    unravelling; Gamma must consist of chain sentences (axiom_to_horn
-    instances), for which closure edges depend only on ancestor chains
-    already present in the truncation.
+    unravelling; Gamma must consist of chain sentences R^k <= R
+    (``axiom_to_horn`` instances), for which closure edges depend only on
+    ancestor chains already present in the truncation, and only on their
+    length:
+
+    - a chain sentence derives (x, y) from an R-path from x to y (k = 0:
+      from the empty path, so x = y), and in a tree every such path runs
+      from a path to itself or to an extension of it; so, by induction on
+      the derivation, does every derived edge;
+    - a derivation of (p, q) therefore uses only the paths between p and
+      q, which form a chain of |q| - |p| edges, so whether (p, q) is
+      derived depends on that length alone.
+
+    The lengths derived form the least set S of lengths below ``depth``
+    that holds 1 and, for each power k of Gamma, every sum of k members of
+    S (``closure_steps``); the closed relation is {(p, q) : q extends p by
+    d in S steps}.  ``horn.gamma_close``, the general closure, computes
+    the same relation and is the tests' oracle for it.
     """
 
     frame: KripkeFrame
@@ -128,9 +143,14 @@ class DenseFrame:
         unr = unravel(self.frame, self.depth)
         closed = unr.frame
         if self.gamma is not None and self.gamma.sentences:
-            if chain_axiom_powers(self.gamma) is None:
+            powers = chain_axiom_powers(self.gamma)
+            if powers is None:
                 raise ValueError("Gamma must consist of chain sentences")
-            closed = gamma_close(unr.frame, self.gamma)
+            steps = closure_steps(powers, self.depth)
+            if steps != {1}:
+                closed = KripkeFrame(closed.worlds, frozenset(
+                    (q[:len(q) - d], q) for q in closed.worlds
+                    for d in steps if d < len(q)), closed.root)
         object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_interior", unr.interior)
 
@@ -139,6 +159,11 @@ class DenseFrame:
 
     def interior_paths(self) -> frozenset:
         return self._interior
+
+    def closure_edges(self) -> int:
+        """The closed edges that are not edges of the unravelling, which is
+        a tree: one edge into each path but the root."""
+        return len(self._closed.relation) - (len(self._closed.worlds) - 1)
 
     def extensions(self, path: tuple) -> list:
         """Extension suffixes ext with path -> path+ext one closed step away
@@ -156,6 +181,23 @@ class DenseFrame:
             elif q[:len(path)] == path:
                 out.append(q[len(path):])
         return out
+
+
+def closure_steps(powers, depth: int) -> set:
+    """The least set of lengths below ``depth`` that holds 1 and, for each
+    k in ``powers``, every sum of k of its members: 0 for k = 0, nothing
+    new for k = 1."""
+    steps = {1}
+    while True:
+        derived = set()
+        for k in powers:
+            sums = {0}
+            for _ in range(k):
+                sums = {a + b for a in sums for b in steps if a + b < depth}
+            derived |= sums
+        if derived <= steps:
+            return steps
+        steps |= derived
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ A Horn sentence is a Datalog rule with head ``R(x, y)``.  Each body is
 rewritten in disjunctive normal form, and each conjunct is compiled once
 into a join program: its atoms in join order, each step mapping a whole
 list of rows (tuples of variable values by slot) over a relation indexed
-by its first and by its second argument.  ``eval_horn`` runs the programs
-over the whole relation; ``gamma_close`` computes the least superset
-satisfying every sentence by semi-naive evaluation, running each program
-once per atom position with the pairs the last round added at that
-position (Bancilhon 1986; Abiteboul, Hull & Vianu, *Foundations of
-Databases*, ch. 13).
+by its first and by its second argument.  ``gamma_close`` computes the
+least superset satisfying every sentence by semi-naive evaluation, running
+each program once per atom position with the pairs the last round added at
+that position (Bancilhon 1986; Abiteboul, Hull & Vianu, *Foundations of
+Databases*, ch. 13).  The pipeline's theories are chain sentences R^k <= R,
+recognised by ``chain_power``; it checks them by ``check_axiom_inclusion``
+and closes the unravelling by path length (``dense.DenseFrame``), so
+``gamma_close`` serves ``mlwb close``, criterion 4 and the tests.
 """
 
 from __future__ import annotations
@@ -128,13 +130,6 @@ def _joins(program: tuple, first, relation: _Index, worlds) -> set:
     return {(r[left], r[right]) for r in rows}
 
 
-def eval_horn(frame: KripkeFrame, s: HornSentence) -> bool:
-    relation = _Index(frame.relation)
-    return all(_joins(_compile(atoms, s.head, 0), relation.pairs, relation,
-                      frame.worlds) <= relation.pairs
-               for atoms in _dnf(s.body))
-
-
 def gamma_close(frame: KripkeFrame, gamma: HornTheory) -> KripkeFrame:
     """Least fixpoint F^Gamma, evaluated semi-naively.
 
@@ -185,16 +180,14 @@ def axioms_to_theory(ks) -> HornTheory:
 def chain_axiom_powers(gamma: HornTheory):
     """If every sentence of ``gamma`` is an ``axiom_to_horn`` instance, return
     the set of powers k; otherwise None."""
-    powers = set()
-    for s in gamma:
-        k = _chain_power(s)
-        if k is None:
-            return None
-        powers.add(k)
-    return powers
+    powers = {chain_power(s) for s in gamma}
+    return None if None in powers else powers
 
 
-def _chain_power(s: HornSentence):
+def chain_power(s: HornSentence):
+    """The k of an ``axiom_to_horn(k)`` sentence up to variable names: 0
+    for ``true => x R x``, k for a chain of k atoms from the head's left to
+    its right variable through distinct fresh ones; otherwise None."""
     if isinstance(s.body, HTrue) and s.head.left == s.head.right:
         return 0
     atoms = []

@@ -36,9 +36,12 @@ class KripkeFrame:
     def __post_init__(self):
         if STOP in self.worlds:
             raise ValueError(f"world id {STOP!r} is reserved")
-        for u, v in self.relation:
-            if u not in self.worlds or v not in self.worlds:
-                raise ValueError(f"relation pair ({u!r}, {v!r}) outside worlds")
+        worlds = self.worlds
+        outside = [(u, v) for u, v in self.relation
+                   if u not in worlds or v not in worlds]
+        if outside:
+            u, v = min(outside, key=repr)
+            raise ValueError(f"relation pair ({u!r}, {v!r}) outside worlds")
         if self.root is not None and self.root not in self.worlds:
             raise ValueError(f"root {self.root!r} not a world")
 
@@ -217,20 +220,24 @@ def check_surjection(fmap: dict, points: frozenset,
 
 
 def check_pmorphism(f: KripkeMorphism) -> Verdict:
-    """Check surjectivity, monotonicity, and lifting (at lifting points)."""
+    """Check surjectivity, monotonicity, and lifting (at lifting points).
+    A failure names its least witness by ``repr``."""
     fmap, src, tgt = f.map, f.source, f.target
     onto = check_surjection(fmap, src.worlds, tgt.worlds)
     if not onto:
         return onto
-    for u, v in src.relation:
-        if (fmap[u], fmap[v]) not in tgt.relation:
-            return Verdict(False, "monotonicity", (u, v))
+    unmapped = [(u, v) for u, v in src.relation
+                if (fmap[u], fmap[v]) not in tgt.relation]
+    if unmapped:
+        return Verdict(False, "monotonicity", min(unmapped, key=repr))
     src_succ, tgt_succ = successor_map(src), successor_map(tgt)
-    for w in f.lifting_points():
-        lifted = {fmap[v] for v in src_succ.get(w, ())}
-        for v2 in tgt_succ.get(fmap[w], ()):
-            if v2 not in lifted:
-                return Verdict(False, "lifting", (w, v2))
+    none = frozenset()
+    stuck = [w for w in f.lifting_points() if not tgt_succ.get(fmap[w], none)
+             <= {fmap[v] for v in src_succ.get(w, ())}]
+    if stuck:
+        return Verdict(False, "lifting", min(
+            ((w, v2) for w in stuck for v2 in tgt_succ[fmap[w]]
+             if v2 not in {fmap[v] for v in src_succ.get(w, ())}), key=repr))
     return Verdict(True)
 
 

@@ -52,9 +52,9 @@ from typing import Optional
 from .dense import DenseFrame, STOP, canonical, f0, restrict, st
 from .entangle import EntangleSpace, PsiMaps, check_psi_maps, class_table, \
     enumerate_dstar, xi, xi_surjectivity_check
-from .horn import HornTheory, chain_axiom_powers, eval_horn, parse_horn_theory
-from .kripke import BudgetExceeded, EvaluationError, check_pmorphism, \
-    parse_frame
+from .horn import HornTheory, chain_power, parse_horn_theory
+from .kripke import BudgetExceeded, EvaluationError, check_axiom_inclusion, \
+    check_pmorphism, parse_frame
 from .predicate import PredEvaluator, PredKripkeFrame, PredKripkeModel, \
     Undecided, check_formula, eval_pred_kripke, parse_domains, \
     parse_pred_valuation
@@ -84,10 +84,11 @@ class Scenario:
         check_formula(self.model, self.formula)
         frame = self.pframe.frame
         if self.gamma is not None:
-            if chain_axiom_powers(self.gamma) is None:
+            powers = [chain_power(sentence) for sentence in self.gamma]
+            if None in powers:
                 raise ValueError("Gamma must consist of chain sentences")
-            for sentence in self.gamma:
-                if not eval_horn(frame, sentence):
+            for sentence, k in zip(self.gamma, powers):
+                if not check_axiom_inclusion(frame, k):
                     raise ValueError(f"the frame violates the [horn] sentence"
                                      f" {horn_to_text(sentence)!r}")
         _check_bounds(self)
@@ -198,11 +199,8 @@ def run_pipeline(s: Scenario) -> PipelineReport:
     def build_dense():
         df = DenseFrame(frame, gamma=s.gamma, depth=s.depth)
         ctx["df"] = df
-        closed = df.closed_unravelling()
-        tree_edges = sum(1 for p, q in closed.relation
-                         if len(q) == len(p) + 1 and q[:len(p)] == p)
-        return {"paths": len(closed.worlds),
-                "closure_edges": len(closed.relation) - tree_edges,
+        return {"paths": len(df.closed_unravelling().worlds),
+                "closure_edges": df.closure_edges(),
                 "interior": len(df.interior_paths())}
 
     def psi_stage():

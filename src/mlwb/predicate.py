@@ -206,10 +206,13 @@ class PredKripkeFrame:
         for d in self.domains.values():
             if not d:
                 raise ValueError("domains must be nonempty")
-        for u, v in self.frame.relation:
-            if not self.domains[u] <= self.domains[v]:
-                raise ValueError(f"domains must expand along the relation:"
-                                 f" D_{u!r} is not contained in D_{v!r}")
+        domains = self.domains
+        shrinking = [(u, v) for u, v in self.frame.relation
+                     if not domains[u] <= domains[v]]
+        if shrinking:
+            u, v = min(shrinking, key=repr)
+            raise ValueError(f"domains must expand along the relation:"
+                             f" D_{u!r} is not contained in D_{v!r}")
 
     def domain(self, w) -> frozenset:
         return self.domains[w]
@@ -429,14 +432,14 @@ def check_kk_morphism(m: PredKKMorphism) -> Verdict:
 
 
 def check_agreement(phi1: dict, edges) -> Verdict:
-    """Along each edge (u, v), the map at v extends the map at u."""
-    for u, v in edges:
-        if phi1[u].items() <= phi1[v].items():
-            continue
-        # a failing pair: walk the map only to name the witness
-        for d, e in phi1[u].items():
-            if phi1[v].get(d) != e:
-                return Verdict(False, "domain-map-disagreement", (u, v, d))
+    """Along each edge (u, v), the map at v extends the map at u.  A
+    failure names its least witness (u, v, d) by ``repr``."""
+    broken = [(u, v) for u, v in edges
+              if not phi1[u].items() <= phi1[v].items()]
+    if broken:  # walk the failing maps only to name the witness
+        return Verdict(False, "domain-map-disagreement", min(
+            ((u, v, d) for u, v in broken for d, e in phi1[u].items()
+             if phi1[v].get(d) != e), key=repr))
     return Verdict(True)
 
 

@@ -3,9 +3,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from mlwb.horn import axioms_to_theory
+from mlwb.horn import HornTheory, axiom_to_horn, axioms_to_theory, \
+    gamma_close
 from mlwb.kripke import BudgetExceeded, EvaluationError, KripkeFrame, \
-    relation_compose
+    relation_compose, unravel
 from mlwb.dense import (
     DenseFrame, DenseModel, ParityVal, STOP,
     bounded_eval, canonical, counterexample_g,
@@ -13,7 +14,8 @@ from mlwb.dense import (
     format_compact, format_stopword, is_member_uk, next_frame, restrict, st,
     uk_members, validate_stopword,
 )
-from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg
+from mlwb.syntax import Box, Falsum, Implies, Letter, dia, modal_depth, neg, \
+    parse_horn
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,49 @@ class TestWords:
                 if validate_stopword(w, frame) and canonical(w) == w:
                     brute.add(w)
         assert set(words) == brute
+
+
+class TestClosureByPathLength:
+    """``DenseFrame`` closes the truncated unravelling by path length
+    alone; the general Datalog closure ``gamma_close`` is the oracle."""
+
+    POWERS = [{0}, {1}, {2}, {0, 3}, {2, 3}, {3, 5}, {0, 2, 4}]
+
+    @staticmethod
+    def rooted_frame(rng: random.Random) -> KripkeFrame:
+        """1-4 worlds reachable from w0 along a random tree, some forward
+        edges and, half the time, an edge back to an earlier world or a
+        loop."""
+        n = rng.randint(1, 4)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        edges |= {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.3}
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            edges.add((i, rng.randrange(i + 1)))
+        names = [f"w{i}" for i in range(n)]
+        return KripkeFrame.make(names, [(names[i], names[j])
+                                        for i, j in edges], root="w0")
+
+    @pytest.mark.parametrize("powers", POWERS,
+                             ids=lambda ks: "-".join(map(str, sorted(ks))))
+    def test_agrees_with_gamma_close(self, powers):
+        rng = random.Random(repr(sorted(powers)))
+        gamma = HornTheory(tuple(  # R^1 <= R as a sentence too
+            axiom_to_horn(k) or parse_horn("x R y => x R y")
+            for k in sorted(powers)))
+        cyclic = 0
+        for depth in range(1, 7):
+            for _ in range(12):
+                frame = self.rooted_frame(rng)
+                cyclic += any(v <= u for u, v in frame.relation)
+                tree = unravel(frame, depth).frame
+                want = gamma_close(tree, gamma)
+                df = DenseFrame(frame, gamma, depth)
+                assert df.closed_unravelling() == want, (frame, depth)
+                assert df.closure_edges() == len(want.relation
+                                                 - tree.relation)
+        assert cyclic
 
 
 class TestNeighbourhoods:

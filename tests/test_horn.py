@@ -4,11 +4,21 @@ import random
 import pytest
 
 from mlwb.horn import (
-    HornTheory, axiom_to_horn, axioms_to_theory, chain_axiom_powers,
-    eval_horn, gamma_close, parse_horn_theory, transitive_closure_squaring,
+    HornTheory, _Index, _compile, _dnf, _joins, axiom_to_horn,
+    axioms_to_theory, chain_axiom_powers, gamma_close, parse_horn_theory,
+    transitive_closure_squaring,
 )
 from mlwb.kripke import KripkeFrame, KripkeMorphism, check_pmorphism, unravel
 from mlwb.syntax import HAnd, HAtom, HOr, HTrue, HornSentence, parse_horn
+
+
+def eval_horn(frame: KripkeFrame, s: HornSentence) -> bool:
+    """Whether ``frame`` validates ``s``: each conjunct's join program run
+    over the whole relation derives no pair outside it."""
+    relation = _Index(frame.relation)
+    return all(_joins(_compile(atoms, s.head, 0), relation.pairs, relation,
+                      frame.worlds) <= relation.pairs
+               for atoms in _dnf(s.body))
 
 
 def random_frame(rng, max_worlds=6, p=0.3):

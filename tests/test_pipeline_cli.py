@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,28 @@ def test_scenario_is_checked_on_construction(changes, message):
     s = parse_scenario(BARCAN, "barcan")
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(s, **changes)
+
+
+@pytest.mark.parametrize("text, gamma, refused", [
+    (TRANSITIVE.replace(" w0->w2", ""), "x R z1 & z1 R y => x R y", True),
+    (TRANSITIVE, "x R z1 & z1 R y => x R y", False),
+    (TRANSITIVE, "x R z1 & z1 R z2 & z2 R y => x R y", False),
+    (BARCAN, "true => x R x", True),
+    (BARCAN, "x R y => x R y", False),
+], ids=["square-violated", "square-held", "cube-held", "reflexivity-violated",
+        "first-power"])
+def test_gamma_is_checked_by_its_powers(text, gamma, refused):
+    """Each chain sentence R^k <= R is checked on the frame by its power k
+    (R^0 is the identity, so k = 0 is reflexivity, and k = 1 always
+    holds); a violated one is named."""
+    s = parse_scenario(re.sub(r"\[horn\][^[]*", "", text), "gamma")
+    theory = parse_horn_theory(gamma)
+    if not refused:
+        assert dataclasses.replace(s, gamma=theory).gamma == theory
+        return
+    with pytest.raises(ValueError, match=re.escape(
+            f"the frame violates the [horn] sentence {gamma!r}")):
+        dataclasses.replace(s, gamma=theory)
 
 
 def _strip_times(text: str) -> str:
@@ -825,6 +850,115 @@ class TestPmorphCommand:
         f.write_text(text)
         assert main(["pmorph", "--kind", kind, str(f)]) == 2
         assert message in capsys.readouterr().err
+
+
+MONOTONICITY_TWICE = """[source]
+worlds a b c
+root a
+edges a->b a->c
+[target]
+worlds x y
+root x
+edges x->y
+[map]
+a -> y
+b -> x
+c -> x
+"""
+
+LIFTING_TWICE = """[source]
+worlds a b c d
+root a
+edges a->b
+[target]
+worlds x y z w
+root x
+edges x->y x->z x->w
+[map]
+a -> x
+b -> y
+c -> z
+d -> w
+"""
+
+SHRINKING_DOMAINS = """[frame]
+worlds u v w
+root u
+edges u->v u->w
+[domains]
+domain u = {d, e}
+domain v = {d}
+domain w = {d}
+[valuation]
+val P @ u = {(d)}
+[formula]
+forall x. P(x)
+"""
+
+DISAGREEING_TWICE = """[source]
+worlds r s t
+root r
+edges r->s r->t
+[source-domains]
+domain r = {d, e}
+domain s = {d, e}
+domain t = {d, e}
+[target]
+worlds u v
+root u
+edges u->v
+[target-domains]
+domain u = {m, n}
+domain v = {m, n}
+[map]
+r -> u
+s -> v
+t -> v
+[elements]
+at r : d -> m
+at r : e -> n
+at s : d -> n
+at s : e -> m
+at t : d -> n
+at t : e -> m
+"""
+
+EDGES_OUTSIDE = "worlds a\nroot a\nedges a->y a->x\n"
+
+
+def test_failing_checks_name_one_witness_under_any_set_order(tmp_path):
+    """A check that fails at several witnesses names the least by repr, so
+    the message does not depend on the hash seed that orders the sets."""
+    cases = [(["pmorph", "--kind", "kripke"], MONOTONICITY_TWICE,
+              "VIOLATION monotonicity at ('a', 'b')"),
+             (["pmorph", "--kind", "kripke"], LIFTING_TWICE,
+              "VIOLATION lifting at ('a', 'w')"),
+             (["pmorph", "--kind", "kk"], DISAGREEING_TWICE,
+              "VIOLATION domain-map-disagreement at ('r', 's', 'd')"),
+             (["pipeline"], SHRINKING_DOMAINS,
+              "D_'u' is not contained in D_'v'"),
+             (["parse", "--kind", "frame"], EDGES_OUTSIDE,
+              "relation pair ('a', 'x') outside worlds")]
+    argvs = []
+    for i, (argv, text, _) in enumerate(cases):
+        f = tmp_path / f"input{i}.txt"
+        f.write_text(text)
+        argvs.append(argv + [str(f)])
+    script = ("import sys\nfrom mlwb.cli import main\n"
+              f"for argv in {argvs!r}:\n"
+              "    main(argv)\n    sys.stdout.flush(); sys.stderr.flush()\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):  # two seeds that order these sets differently
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True))
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stderr == outputs[1].stderr
+    both = outputs[0].stdout + outputs[0].stderr
+    for _, _, message in cases:
+        assert message in both, both
 
 
 def _repeated_line_cases():
