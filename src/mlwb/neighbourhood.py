@@ -104,22 +104,28 @@ def check_n_pmorphism(f: NMorphism) -> Verdict:
     """Surjectivity plus zig/zag, checked on base members only.
 
     By upward closure it suffices to check zig on each base member of x and
-    zag on each base member of f(x).
+    zag on each base member of f(x).  A failure names the least point x by
+    ``repr``, and at it the least failing member, shown as a sorted tuple.
     """
     fmap, src, tgt = f.map, f.source, f.target
     onto = check_surjection(fmap, src.points, tgt.points)
     if not onto:
         return onto
     for x in sorted(src.points, key=repr):
-        for u in src.base[x]:
-            fu = frozenset(fmap[y] for y in u)
-            if not tgt.is_neighbourhood(fmap[x], fu):
-                return Verdict(False, "zig", (x, u))
-        for v in tgt.base[fmap[x]]:
-            pre = frozenset(y for y in src.points if fmap[y] in v)
-            if not src.is_neighbourhood(x, pre):
-                return Verdict(False, "zag", (x, v))
+        zig = [u for u in src.base[x]
+               if not tgt.is_neighbourhood(fmap[x], {fmap[y] for y in u})]
+        if zig:
+            return Verdict(False, "zig", (x, _least(zig)))
+        zag = [v for v in tgt.base[fmap[x]] if not src.is_neighbourhood(
+            x, {y for y in src.points if fmap[y] in v})]
+        if zag:
+            return Verdict(False, "zag", (x, _least(zag)))
     return Verdict(True)
+
+
+def _least(sets) -> tuple:
+    """The least of ``sets`` by ``repr`` once each is a sorted tuple."""
+    return min((tuple(sorted(u, key=repr)) for u in sets), key=repr)
 
 
 def n_morphism_from_kripke(f: KripkeMorphism) -> NMorphism:

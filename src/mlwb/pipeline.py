@@ -9,19 +9,18 @@ the composed morphism and evaluate the target formula at the all-stops
 point of the dense frame, then check the (f0, xi) morphism and the
 composition at the points that evaluation visited.
 
-Dense-side predicate evaluation is ``predicate.PredEvaluator``, the lazy
-three-valued evaluator, over the hooks of ``DenseEvaluator``; it works
-directly on pseudo-infinite paths and is exact.  The Kripke root value it
-is compared with comes from the other evaluator, ``predicate.truth_vectors``
-(through ``eval_pred_kripke``), so that one fault in a rule cannot make the
-two sides agree.  The domain maps are local:
-past the stopping length of every word in the environment, the zero
-paddings of an extension family do not change the image of any word, so
-the box quantifier evaluates each family once, unpadded, and the universal
-quantifier runs over a profile-complete finite family of constant-domain
-stop words, one representative per class at the binding point (plus
-overflow words for the classes beyond the truncated domains; see
-``ClassTables``).  A verdict is undecided for one reason only: a box
+Dense-side predicate evaluation is ``DenseEvaluator``, a lazy
+three-valued evaluator; it works directly on pseudo-infinite paths and is
+exact.  The Kripke root value it is compared with comes from the
+finite-model evaluator, ``predicate.truth_vectors`` (through
+``eval_pred_kripke``), so that one fault in a rule cannot make the two
+sides agree.  The domain maps are local: past the stopping length of every
+word in the environment, the zero paddings of an extension family do not
+change the image of any word, so the box quantifier evaluates each family
+once, unpadded, and the universal quantifier runs over a profile-complete
+finite family of constant-domain stop words, one representative per class
+at the binding point (plus overflow words for the classes beyond the
+truncated domains; see ``ClassTables``).  A verdict is undecided for one reason only: a box
 reached a frontier path of the truncated unravelling and the rest of the
 formula did not decide the value; the verdict names that path.
 
@@ -55,11 +54,11 @@ from .entangle import EntangleSpace, PsiMaps, check_psi_maps, class_table, \
 from .horn import HornTheory, chain_power, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, check_axiom_inclusion, \
     check_pmorphism, parse_frame
-from .predicate import PredEvaluator, PredKripkeFrame, PredKripkeModel, \
-    Undecided, check_formula, eval_pred_kripke, parse_domains, \
-    parse_pred_valuation
-from .syntax import horn_to_text, keyed_lines, only_line, parse_pred, \
-    parse_set, read_line, split_sections, to_text, universal_closure
+from .predicate import PredKripkeFrame, PredKripkeModel, check_formula, \
+    eval_pred_kripke, parse_domains, parse_pred_valuation
+from .syntax import Atom, Box, Falsum, Forall, Formula, Implies, \
+    horn_to_text, keyed_lines, only_line, parse_pred, parse_set, read_line, \
+    split_sections, to_text, universal_closure
 
 
 @dataclass(frozen=True)
@@ -384,15 +383,19 @@ def make_eta(classes: XiClasses, phi1: PsiMaps, pframe: PredKripkeFrame,
     return eta
 
 
-class DenseEvaluator(PredEvaluator):
-    """Exact predicate evaluation at points of the dense frame: the three
-    hooks of ``predicate.PredEvaluator``, whose ``eval`` it inherits (the
-    finite models have an evaluator of their own).  env
-    maps each variable to its constant-domain stop word and the point that
-    bound it; a box ranges over one family, a ``forall`` binds (word, point)
-    for each entry of the point's class table, and an atom reads each
-    argument through eta.  An undecided value is ``("frontier", path)``,
-    the f0 path whose extensions lie beyond the truncated unravelling.
+class DenseEvaluator:
+    """Exact predicate evaluation at points of the dense frame (the finite
+    models have an evaluator of their own).  ``eval(alpha, a, env)``
+    returns True, False or the witness of an undecided value by Kleene's
+    strong three-valued rules; an undecided value is ``("frontier",
+    path)``, the f0 path whose extensions lie beyond the truncated
+    unravelling.  env maps each variable to its constant-domain stop word
+    and the point that bound it.  An implication with a false left side is
+    true without its right side.  A box ranges over one family and a
+    ``forall`` binds (word, point) for each entry of the point's class
+    table; each is a conjunction, false at its first false part and
+    otherwise carrying the witness of its first undecided part.  An atom
+    reads each argument through eta.
 
     The evaluator records where it looks: its ``tables`` hold one class
     table per ``forall`` point, ``box_points`` the extensions each box read
@@ -450,32 +453,55 @@ class DenseEvaluator(PredEvaluator):
         self.box_points = {}   # point -> extensions its box read
         self.atom_sites = {}   # (binding point, atom point, word) -> None
 
-    def boxes(self, alpha, env):
-        path = self.paths[alpha]
-        try:
-            exts = self.df.extensions(path)
-        except BudgetExceeded:
-            raise Undecided(("frontier", path)) from None
-        self.box_points[alpha] = exts
-        m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
-        pre = restrict(alpha, m)
-        betas = []
-        for ext in sorted(exts):
-            beta = canonical(pre + ext)
-            self.paths.setdefault(beta, path + ext)
-            betas.append(beta)
-        return (betas,)
+    def eval(self, alpha, a: Formula, env: dict):
+        if isinstance(a, Falsum):
+            return False
+        if isinstance(a, Atom):
+            args = []
+            for term in a.args:
+                gamma, bound = env[term.name]
+                self.atom_sites[(bound, alpha, gamma)] = None
+                args.append(self.eta(alpha, gamma))
+            return self.model.holds(a.name, self.paths[alpha][-1],
+                                    tuple(args))
+        if isinstance(a, Implies):
+            left = self.eval(alpha, a.left, env)
+            if left is False:
+                return True
+            right = self.eval(alpha, a.right, env)
+            return right if left is True or right is True else left
+        if isinstance(a, Box):
+            path = self.paths[alpha]
+            try:
+                exts = self.df.extensions(path)
+            except BudgetExceeded:
+                return ("frontier", path)
+            self.box_points[alpha] = exts
+            m = max([st(alpha)] + [st(gamma) for gamma, _ in env.values()])
+            pre = restrict(alpha, m)
+            cases = []
+            for ext in sorted(exts):
+                beta = canonical(pre + ext)
+                self.paths.setdefault(beta, path + ext)
+                cases.append((beta, env))
+            return self._all(a.body, cases)
+        if isinstance(a, Forall):
+            return self._all(a.body, ((alpha, {**env, a.var: (gamma, alpha)})
+                                      for gamma in self.tables[alpha].values()))
+        raise EvaluationError(f"unsupported formula node {a!r}")
 
-    def binds(self, alpha):
-        return [(gamma, alpha) for gamma in self.tables[alpha].values()]
-
-    def atom(self, alpha, a, env):
-        args = []
-        for term in a.args:
-            gamma, bound = env[term.name]
-            self.atom_sites[(bound, alpha, gamma)] = None
-            args.append(self.eta(alpha, gamma))
-        return self.model.holds(a.name, self.paths[alpha][-1], tuple(args))
+    def _all(self, a: Formula, cases):
+        """Kleene's conjunction of ``a`` over (point, env) cases: False at
+        the first false case, else the first undecided witness, else
+        True."""
+        value = True
+        for alpha, env in cases:
+            v = self.eval(alpha, a, env)
+            if v is False:
+                return False
+            if value is True:
+                value = v
+        return value
 
 
 # ---------------------------------------------------------------------------

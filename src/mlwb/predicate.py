@@ -1,23 +1,23 @@
-"""Predicate semantics: expanding-domain Kripke frames, constant-domain
-neighbourhood frames, and the two predicate p-morphism notions.
+"""Predicate semantics on finite models: expanding-domain Kripke frames,
+constant-domain neighbourhood frames, and the two predicate p-morphism
+notions.
 
-Two evaluators, kept apart on purpose.  ``truth_vectors`` evaluates a
-closed formula on a finite model, once for a whole family of valuations of
-its frame: a point's value is an int whose bit k is the value under the
-k-th valuation, as in ``kripke._truth_vectors``.  ``truth_set``,
-``eval_pred_kripke`` and ``eval_pred_nbhd`` are its one-valuation case.
-``PredEvaluator`` is the lazy three-valued evaluator of the dense model of
-``pipeline``, which holds more points than any walk can visit.  The
-pipeline compares a Kripke root value with a dense one, so if both came
-from one recursion, a fault in its rules would make the two sides agree.
+``truth_vectors`` evaluates a closed formula on a finite model, once for a
+whole family of valuations of its frame: a point's value is an int whose
+bit k is the value under the k-th valuation, as in
+``kripke._truth_vectors``.  ``truth_set``, ``eval_pred_kripke`` and
+``eval_pred_nbhd`` are its one-valuation case.  The dense model of
+``pipeline``, which holds more points than any walk can visit, has an
+evaluator of its own, ``pipeline.DenseEvaluator``.  The pipeline compares a
+Kripke root value with a dense one, so if both came from one recursion, a
+fault in its rules would make the two sides agree.
 
-Both read a model the same way: a Kripke model is the principal-filter
-case of a neighbourhood model, so a box ranges over a filter base (the
-successors, on the Kripke side), and a ``forall`` binds the point's
-quantifier domain (the local domain on the Kripke side, the single constant
-domain on the neighbourhood side -- the asymmetry behind the Barcan
-formula's different status in the two semantics).  Evaluation is defined
-for closed formulas.
+A Kripke model is the principal-filter case of a neighbourhood model, so a
+box ranges over a filter base (the successors, on the Kripke side), and a
+``forall`` binds the point's quantifier domain (the local domain on the
+Kripke side, the single constant domain on the neighbourhood side -- the
+asymmetry behind the Barcan formula's different status in the two
+semantics).  Evaluation is defined for closed formulas.
 """
 
 from __future__ import annotations
@@ -35,81 +35,6 @@ from .syntax import (
 )
 
 PredFormula = Formula
-
-
-# ---------------------------------------------------------------------------
-# the dense model's evaluator
-
-
-class Undecided(Exception):
-    """Raised by ``boxes`` when the sets a box ranges over lie beyond what
-    the model holds; ``args[0]`` is the witness that the box's value
-    becomes."""
-
-
-class PredEvaluator:
-    """Predicate truth at a point ``x`` under ``env``, which binds the
-    variables in scope, by Kleene's strong three-valued rules: ``eval``
-    returns True, False or the witness of an undecided value (a tuple, never
-    a bool).  An implication with a false left side is true without its
-    right side; a conjunction over the points of a box member or over the
-    bindings of a ``forall`` is false at its first false part, and otherwise
-    carries the witness of its first undecided part.
-
-    The dense model (``pipeline.DenseEvaluator``) supplies three hooks:
-
-    - ``boxes(x, env)``: the sets a box at ``x`` ranges over; the box holds
-      iff its body holds throughout one of them.  It may raise
-      ``Undecided``;
-    - ``binds(x)``: the values a ``forall`` at ``x`` binds its variable to;
-    - ``atom(x, a, env)``: the truth of the atom ``a`` at ``x``.
-
-    Finite models are evaluated by ``truth_vectors`` instead, so that the
-    pipeline's Kripke root value does not rest on these rules."""
-
-    def eval(self, x, a: Formula, env: dict):
-        if isinstance(a, Falsum):
-            return False
-        if isinstance(a, Atom):
-            return self.atom(x, a, env)
-        if isinstance(a, Implies):
-            left = self.eval(x, a.left, env)
-            if left is False:
-                return True
-            right = self.eval(x, a.right, env)
-            return right if left is True or right is True else left
-        if isinstance(a, Box):
-            try:
-                base = self.boxes(x, env)
-            except Undecided as e:
-                return e.args[0]
-            value = False
-            for u in base:
-                part = True
-                for y in u:
-                    v = self.eval(y, a.body, env)
-                    if v is False:
-                        part = False
-                        break
-                    if part is True:
-                        part = v
-                if part is True:
-                    return True
-                if value is False:
-                    value = part
-            return value
-        if isinstance(a, Forall):
-            value = True
-            inner = dict(env)  # rebound per value, so no hook may keep it
-            for d in self.binds(x):
-                inner[a.var] = d
-                v = self.eval(x, a.body, inner)
-                if v is False:
-                    return False
-                if value is True:
-                    value = v
-            return value
-        raise EvaluationError(f"unsupported formula node {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +392,8 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
                              lambda x: m.target.domain(m.phi0[x]))
     if not maps:
         return maps
-    for x in m.space.points:
-        for d in m.dstar:
+    for x in sorted(m.space.points, key=repr):
+        for d in sorted(m.dstar, key=repr):
             if not any(all(m.phi1[y][d] == m.phi1[x][d] for y in u)
                        for u in m.space.base[x]):
                 return Verdict(False, "domain-map-not-locally-stable", (x, d))
@@ -477,12 +402,13 @@ def check_nk_morphism(m: PredNKMorphism) -> Verdict:
 
 def check_domain_maps(phi1: dict, points, domain_at, codomain_at) -> Verdict:
     """At each point, phi1 maps the point's domain onto the codomain at the
-    point's image; phi1 holds no map at any other point."""
+    point's image; phi1 holds no map at any other point.  A failure names
+    the least point by ``repr``."""
     extra = set(phi1).difference(points)
     if extra:
         return Verdict(False, "domain-map-at-unknown-point",
                        (sorted(extra, key=repr)[0],))
-    for x in points:
+    for x in sorted(points, key=repr):
         fx = phi1.get(x)
         if fx is None:
             return Verdict(False, "missing-domain-map", (x,))

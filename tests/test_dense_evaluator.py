@@ -325,3 +325,75 @@ def test_class_table_walk_matches_xi_word_by_word():
                         (frame, sigma2, max_sigma, alpha)
                     checked += 1
     assert checked > 500
+
+
+KLEENE = """[frame]
+worlds u v
+root u
+edges u->v v->v
+[domains]
+domain u = {d}
+domain v = {d, e}
+[valuation]
+val P @ u = {(d)}
+val P @ v = {(d)}
+val Q @ u = {}
+val Q @ v = {(d)}
+[formula]
+forall x. P(x)
+[bounds]
+depth = 3
+"""
+
+# At depth 3, ``box box P(x)`` at the point over u v reaches the frontier
+# path u v v, so UNDECIDED is undecided; TRUE and FALSE are decided at u.
+UNDECIDED = "box forall x. box box P(x)"
+TRUE, FALSE = "forall x. P(x)", "forall x. Q(x)"
+FRONTIER = ("frontier", ("u", "v", "v"))
+
+
+
+def kleene_evaluator():
+    s = parse_scenario(KLEENE, "kleene")
+    df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth)
+    phi1 = PsiMaps(s.space, s.pframe, df, s.max_sigma)
+    paths = PointPaths(df.frame)
+    classes = XiClasses(s.space)
+    return DenseEvaluator(df, classes,
+                          make_eta(classes, phi1, s.pframe, paths), s.model,
+                          s.max_sigma, paths)
+
+
+@pytest.mark.parametrize("formula, value", [
+    (UNDECIDED, FRONTIER),
+    (TRUE, True),
+    (FALSE, False),
+    (f"({UNDECIDED}) -> {TRUE}", True),
+    (f"({UNDECIDED}) -> {FALSE}", FRONTIER),
+    (f"({FALSE}) -> {UNDECIDED}", True),
+    (f"({TRUE}) -> {UNDECIDED}", FRONTIER),
+    (f"({UNDECIDED}) -> {UNDECIDED}", FRONTIER),
+    # the parts at d come first (test_kleene_forall_binds_d_first)
+    ("box forall x. (Q(x) & box box P(x))", False),
+    ("box forall x. (Q(x) -> box box P(x))", FRONTIER),
+    ("box forall x. ((Q(x) -> false) -> box box P(x))", FRONTIER),
+], ids=["undecided", "true", "false", "undecided->true", "undecided->false",
+        "false->undecided", "true->undecided", "undecided->undecided",
+        "forall-undecided-then-false", "forall-undecided-then-true",
+        "forall-true-then-undecided-then-true"])
+def test_kleene_rules(formula, value):
+    """Each rule of ``DenseEvaluator.eval`` on one undecided part: an
+    implication is true at a false left or a true right side and otherwise
+    carries its left side's witness, unless that side is true; a ``forall``
+    is false at a false part, also after an undecided one, and otherwise
+    carries the witness of an undecided part, whatever parts follow it."""
+    got = kleene_evaluator().eval((), parse_pred(formula), {})
+    assert got == value and type(got) is type(value), got
+
+
+def test_kleene_forall_binds_d_first():
+    """Over v, the first class a ``forall`` binds goes to d, and a later
+    one to e, where Q fails."""
+    ev = kleene_evaluator()
+    over_v = [ev.eta(("v",), gamma) for gamma in ev.tables[("v",)].values()]
+    assert over_v[0] == "d" and "e" in over_v, over_v

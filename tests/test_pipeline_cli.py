@@ -925,10 +925,33 @@ at t : e -> m
 
 EDGES_OUTSIDE = "worlds a\nroot a\nedges a->y a->x\n"
 
+# zig fails at a, whose one base member {b, c} goes to {x}
+ZIG_AT_A_SET = """[source]
+points a b c d
+base a = {b, c}
+base b = {b}
+base c = {c}
+base d = {d}
+[target]
+points x y z
+base x = {y, z}
+base y = {y}
+base z = {z}
+[map]
+a -> x
+b -> y
+c -> x
+d -> z
+"""
+
+UNSTABLE_TWICE = NK_MORPHISM.replace("at a : d -> m", "at a : d -> n") \
+    .replace("at a : e -> n", "at a : e -> m")
+
 
 def test_failing_checks_name_one_witness_under_any_set_order(tmp_path):
-    """A check that fails at several witnesses names the least by repr, so
-    the message does not depend on the hash seed that orders the sets."""
+    """A check that fails at several witnesses names the least by repr,
+    with a set shown sorted, so the message does not depend on the hash
+    seed that orders the sets."""
     cases = [(["pmorph", "--kind", "kripke"], MONOTONICITY_TWICE,
               "VIOLATION monotonicity at ('a', 'b')"),
              (["pmorph", "--kind", "kripke"], LIFTING_TWICE,
@@ -938,7 +961,11 @@ def test_failing_checks_name_one_witness_under_any_set_order(tmp_path):
              (["pipeline"], SHRINKING_DOMAINS,
               "D_'u' is not contained in D_'v'"),
              (["parse", "--kind", "frame"], EDGES_OUTSIDE,
-              "relation pair ('a', 'x') outside worlds")]
+              "relation pair ('a', 'x') outside worlds"),
+             (["pmorph", "--kind", "nframe"], ZIG_AT_A_SET,
+              "VIOLATION zig at ('a', ('b', 'c'))"),
+             (["pmorph", "--kind", "nk"], UNSTABLE_TWICE,
+              "VIOLATION domain-map-not-locally-stable at ('a', 'd')")]
     argvs = []
     for i, (argv, text, _) in enumerate(cases):
         f = tmp_path / f"input{i}.txt"

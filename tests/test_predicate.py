@@ -243,7 +243,7 @@ def _reference(model, valuation, x, a, env):
     local domain of ``x``; on a neighbourhood model a box holds iff its
     body holds throughout some member of the filter base, and ``forall``
     ranges over D*.  It shares no code with ``truth_vectors`` or
-    ``PredEvaluator.eval``."""
+    ``pipeline.DenseEvaluator.eval``."""
     if isinstance(model, PredKripkeModel):
         frame = model.pframe.frame
         members = [{v for u, v in frame.relation if u == x}]

@@ -50,12 +50,12 @@ def _branches_on_forall(node) -> bool:
 
 def test_two_predicate_evaluators():
     """Outside the syntax module, exactly two definitions branch on
-    ``Forall``, both in ``predicate``: ``_truth_vectors``, which evaluates
-    a finite model under a family of valuations at once, and
-    ``PredEvaluator.eval``, the dense model's lazy three-valued evaluator.
-    They are kept apart so that the pipeline's Kripke root value and its
-    dense value do not come from one recursion; a third evaluator would
-    show up here.  A definition is a module-level function, a method, or
+    ``Forall``: ``predicate._truth_vectors``, which evaluates a finite
+    model under a family of valuations at once, and
+    ``pipeline.DenseEvaluator.eval``, the dense model's lazy three-valued
+    evaluator.  They are kept apart so that the pipeline's Kripke root
+    value and its dense value do not come from one recursion; a third
+    evaluator would show up here.  A definition is a module-level function, a method, or
     any other statement of a module or class body."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
@@ -68,7 +68,7 @@ def test_two_predicate_evaluators():
                 else [(getattr(top, "name", "<module>"), top)]
             found += [f"{path.stem}.{name}" for name, node in parts
                       if _branches_on_forall(node)]
-    assert sorted(found) == ["predicate.PredEvaluator.eval",
+    assert sorted(found) == ["pipeline.DenseEvaluator.eval",
                              "predicate._truth_vectors"], found
 
 
