@@ -288,7 +288,8 @@ def xi_locality_check(space: EntangleSpace, df: DenseFrame, alpha, gamma) -> dic
 
 # the most words ``enumerate_dstar`` builds, and the most classes a D-sharp
 # domain of ``PsiMaps`` holds; the bundled scenarios and the benchmark's
-# seed-3 and seed-5 ones reach 585 words and 209 classes
+# seed-3 and seed-5 ones, run at the least max_sigma, reach 9 words and 9
+# classes (585 and 209 at their files' max_sigma)
 DSTAR_WORDS = 2 ** 16
 DSHARP_CLASSES = 2 ** 16
 
@@ -385,7 +386,11 @@ class PsiMaps(dict):
     instead of listing them.  It refuses a D-sharp domain of more than
     ``DSHARP_CLASSES`` classes and an alphabet that is too small at some
     closed path, and makes ``phi0``, psi's frame part: each path to its
-    endpoint, with lifting promised at the interior paths."""
+    endpoint, with lifting promised at the interior paths.
+
+    ``max_sigma`` bounds the domain letters of a class.  The pipeline
+    passes the least value that covers the domains (``least_max_sigma``);
+    criterion 6 and the tests pass fixed ones."""
 
     def __init__(self, space: EntangleSpace, target: PredKripkeFrame,
                  dense: DenseFrame, max_sigma: int):
@@ -463,6 +468,28 @@ def fresh_count(steps: int, letters: int, max_sigma: int) -> int:
     k - 1) ways, each letter one of ``letters``."""
     return sum(math.comb(steps + k - 1, k - 1) * letters ** k
                for k in range(1, max_sigma + 1))
+
+
+def least_max_sigma(target: PredKripkeFrame, dense: DenseFrame, letters: int,
+                    ceiling: int) -> int:
+    """The least max_sigma >= 1 at which ``PsiMaps`` over ``dense`` covers
+    the elements new at every closed path with ``letters`` domain letters:
+    at each path length, ``fresh_count`` (plus the empty class at the root)
+    against the most elements new at a closed path of that length.  It is
+    ``ceiling`` when no smaller value covers them, and ``PsiMaps`` then
+    refuses the alphabet there.  Every psi that passes the morphism checks
+    gives the dense side the same truth values, so a larger value only
+    grows the D-sharp domains and the ``forall`` families."""
+    most = {}
+    for path in dense.closed_unravelling().worlds:
+        n = len(path) - 1
+        most[n] = max(most.get(n, 0),
+                      len(_new(target.domain, path)) - (n == 0))
+    m = 1
+    while m < ceiling and any(fresh_count(n, letters, m) < new
+                              for n, new in most.items()):
+        m += 1
+    return m
 
 
 def check_psi_maps(phi1: PsiMaps) -> Verdict:

@@ -2,8 +2,9 @@
 countermodel to a certified refutation on the constant-domain dense side.
 
 Stages: validate the scenario, build the (Gamma-closed) truncated
-unravelling, set up psi (refuse a too small domain alphabet at every
-closed path and check psi's frame part, each path to its endpoint, as a
+unravelling, set up psi at the least max_sigma up to the scenario's that
+covers the domains (refuse a too small domain alphabet at every closed
+path and check psi's frame part, each path to its endpoint, as a
 p-morphism of the whole closed unravelling), pull the valuation back along
 the composed morphism and evaluate the target formula at the all-stops
 point of the dense frame, then check the (f0, xi) morphism and the
@@ -50,7 +51,7 @@ from typing import Optional
 
 from .dense import DenseFrame, STOP, canonical, f0, restrict, st
 from .entangle import EntangleSpace, PsiMaps, check_psi_maps, class_table, \
-    enumerate_dstar, xi, xi_surjectivity_check
+    enumerate_dstar, least_max_sigma, xi, xi_surjectivity_check
 from .horn import HornTheory, chain_power, parse_horn_theory
 from .kripke import BudgetExceeded, EvaluationError, check_axiom_inclusion, \
     check_pmorphism, parse_frame
@@ -67,7 +68,8 @@ class Scenario:
     formula predicate has a valuation of the arity it is applied at, Gamma
     consists of chain sentences the frame validates, the bounds are in
     range and the domain alphabet is disjoint from the worlds and the stop
-    symbol."""
+    symbol.  ``max_sigma`` is a ceiling: the pipeline runs at the least
+    value up to it that covers the domains."""
 
     name: str
     pframe: PredKripkeFrame
@@ -203,18 +205,21 @@ def run_pipeline(s: Scenario) -> PipelineReport:
                 "interior": len(df.interior_paths())}
 
     def psi_stage():
-        phi1 = ctx["phi1"] = PsiMaps(s.space, s.pframe, ctx["df"], s.max_sigma)
+        max_sigma = least_max_sigma(s.pframe, ctx["df"], len(s.sigma2),
+                                    s.max_sigma)
+        phi1 = ctx["phi1"] = PsiMaps(s.space, s.pframe, ctx["df"], max_sigma)
         verdict = check_pmorphism(phi1.phi0)
         if not verdict:
             return {"ok": False, "condition": verdict.condition,
                     "witness": verdict.witness}
         return {"source_paths": len(phi1.closed.worlds),
-                "classes_at_root": phi1.fresh_counts[0]}
+                "classes_at_root": phi1.fresh_counts[0],
+                "max_sigma": max_sigma}
 
     def evaluation_stage():
         eta = make_eta(classes, ctx["phi1"], s.pframe, paths)
-        ev = DenseEvaluator(ctx["df"], classes, eta, s.model, s.max_sigma,
-                            paths)
+        ev = DenseEvaluator(ctx["df"], classes, eta, s.model,
+                            ctx["phi1"].max_sigma, paths)
         value = ev.eval((), s.formula, {})
         ctx["ev"] = ev
         certified = isinstance(value, bool)
@@ -332,9 +337,11 @@ class ClassTables(dict):
     hits every class that a word with at most max_sigma letters hits at
     alpha, then the overflow words (max_sigma + 1 copies of the first
     domain letter after at most st(alpha) zeros), which stand for the
-    classes beyond the truncated domains.  ``enumerate_dstar`` counts the
-    family before it builds it, so a family past its budget fails the
-    evaluation stage with ``BudgetExceeded``."""
+    classes beyond the truncated domains.  ``max_sigma`` is psi's (the
+    least value that covers the domains, in the pipeline), so the family
+    hits every class of the D-sharp domain at f0(alpha).
+    ``enumerate_dstar`` counts the family before it builds it, so a family
+    past its budget fails the evaluation stage with ``BudgetExceeded``."""
 
     def __init__(self, classes: XiClasses, max_sigma: int):
         super().__init__()
@@ -441,7 +448,9 @@ class DenseEvaluator:
 
     ``paths`` maps each point to its f0 path and ``classes`` each (point,
     word) pair to its xi class; shared with ``make_eta``, they validate each
-    point and classify each pair of the scenario once."""
+    point and classify each pair of the scenario once.  ``max_sigma`` sizes
+    the ``forall`` families (``ClassTables``) and is the value psi runs at
+    (``PsiMaps.max_sigma``), the least one that covers the domains."""
 
     def __init__(self, df: DenseFrame, classes: XiClasses, eta,
                  model: PredKripkeModel, max_sigma: int, paths: PointPaths):

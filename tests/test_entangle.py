@@ -10,7 +10,7 @@ from mlwb.entangle import (
     EntangleSpace, PsiMaps, build_psi, canonicalize, decompositions, dsharp,
     entangle_enumerate, enumerate_dstar, equiv, equiv_bruteforce,
     fresh_classes,
-    fresh_count, h, is_entangled, p1, t, xi,
+    fresh_count, h, is_entangled, least_max_sigma, p1, t, xi,
     xi_locality_check, xi_surjectivity_check,
 )
 from mlwb.pipeline import ClassTables, XiClasses, parse_scenario
@@ -308,6 +308,45 @@ def test_fresh_count_counts_the_fresh_classes(letters):
         for max_sigma in (1, 2, 3):
             want = len(fresh_classes(sp, steps[:n], max_sigma))
             assert fresh_count(n, letters, max_sigma) == want, (n, max_sigma)
+
+
+def _domains(*sizes) -> list:
+    """Nested domains along a path: the first ``size`` of d0, d1, ..."""
+    return [{f"d{i}" for i in range(size)} for size in sizes]
+
+
+@pytest.mark.parametrize("edges, domains, letters, least", [
+    ([], _domains(1), 1, 1),
+    ([], _domains(3), 1, 2),
+    ([], _domains(4), 2, 2),
+    ([], _domains(13), 3, 2),
+    ([], _domains(14), 3, 3),
+    ([("r", "a")], _domains(1, 4), 1, 2),
+    ([("r", "a")], _domains(1, 6), 2, 2),
+    ([("r", "a"), ("a", "b")], _domains(1, 1, 6), 1, 3),
+    ([("r", "a"), ("a", "b")], _domains(2, 3, 4), 1, 1),
+    # b is reached in one step and in two, with two new elements each way
+    ([("r", "a"), ("a", "b"), ("r", "b")], _domains(1, 1, 3), 1, 2),
+    ([("r", "a"), ("a", "a")], _domains(1, 3), 1, 2),
+], ids=["one-element", "root-of-three", "root-of-four", "root-of-13",
+        "root-of-14", "three-new-in-one-step", "five-new-in-one-step",
+        "five-new-in-two-steps", "one-new-per-step", "dag", "loop"])
+def test_least_max_sigma_is_the_least_psi_accepts(edges, domains, letters,
+                                                  least):
+    """``PsiMaps`` accepts the alphabet at the least value and refuses it
+    at one less; at a ceiling below the least value, the ceiling is
+    returned."""
+    worlds = ["r", "a", "b"][:len(domains)]
+    frame = KripkeFrame.make(worlds, edges, root="r")
+    space = EntangleSpace(frame, ("x", "y", "z")[:letters])
+    target = PredKripkeFrame(frame, dict(zip(worlds, domains)))
+    df = DenseFrame(frame, depth=len(worlds) + 1)
+    assert least_max_sigma(target, df, letters, 5) == least
+    PsiMaps(space, target, df, least)
+    if least > 1:
+        assert least_max_sigma(target, df, letters, least - 1) == least - 1
+        with pytest.raises(ValueError, match="alphabet too small"):
+            PsiMaps(space, target, df, least - 1)
 
 
 class TestBuildPsi:

@@ -198,6 +198,24 @@ def test_gamma_is_checked_by_its_powers(text, gamma, refused):
         dataclasses.replace(s, gamma=theory)
 
 
+ROOT_OF_FOUR = """[frame]
+worlds u v
+root u
+edges u->v
+[domains]
+domain u = {a, b, c, d}
+domain v = {a, b, c, d, e}
+[valuation]
+val P @ u = {(a), (b), (c), (d)}
+val P @ v = {(a), (b), (c), (d)}
+[formula]
+(forall x. box P(x)) -> box forall x. P(x)
+[bounds]
+depth = 3
+max_sigma = 3
+"""
+
+
 def _strip_times(text: str) -> str:
     return re.sub(r"# time .*\n", "", text)
 
@@ -330,21 +348,34 @@ class TestPipeline:
         assert report.dense_value is False
         assert report.kripke_value is False
 
-    def test_max_sigma_past_the_budget_fails_the_psi_stage(self,
-                                                           monkeypatch):
-        """max_sigma = 40 would give the root a D-sharp domain of 2^41 - 1
-        classes and each forall a family of about as many words: psi's
-        set-up counts them and fails its stage before any is built."""
-        import mlwb.entangle
-        for name in ("dsharp", "fresh_classes", "grow_words"):
-            monkeypatch.setattr(mlwb.entangle, name, None)
+    def test_max_sigma_is_a_ceiling(self):
+        """max_sigma = 40 is a ceiling: the run takes the least value that
+        covers the domains, 1 here, and certifies.  (The budgets that a
+        run at 40 would meet are pinned by the entangle tests.)"""
         report = run_pipeline(parse_scenario(
             BARCAN.replace("max_sigma = 2", "max_sigma = 40"), "barcan"))
-        stage = report.stages[-1]
-        assert stage.name == "psi-morphism" and not stage.ok
-        assert "over the budget DSHARP_CLASSES = 65536" in \
-            stage.detail["error"]
-        assert not report.ok
+        assert report.ok and report.dense_certified, render_report(report)
+        psi = {stage.name: stage for stage in report.stages}["psi-morphism"]
+        assert psi.detail["max_sigma"] == 1
+        assert psi.detail["classes_at_root"] == 3
+
+    @pytest.mark.parametrize("ceiling, stage_ok", [(3, True), (1, False)])
+    def test_four_root_elements_need_max_sigma_two(self, ceiling, stage_ok):
+        """Two letters give the root 3 classes at max_sigma = 1 and 7 at
+        2: four root elements run at 2 under a ceiling of 3 and certify
+        the refutation, and a ceiling of 1 is refused."""
+        report = run_pipeline(parse_scenario(ROOT_OF_FOUR.replace(
+            "max_sigma = 3", f"max_sigma = {ceiling}"), "root-of-four"))
+        psi = {stage.name: stage for stage in report.stages}["psi-morphism"]
+        assert psi.ok is stage_ok and report.ok is stage_ok
+        if stage_ok:
+            assert psi.detail["max_sigma"] == 2
+            assert psi.detail["classes_at_root"] == 7
+            assert report.dense_certified and report.dense_value is False
+        else:
+            assert psi.detail["error"] == (
+                "alphabet too small: 3 fresh classes cannot cover 4 new"
+                " elements at ('u',)")
 
     def test_deterministic(self):
         r1 = run_pipeline(parse_scenario(BARCAN, "barcan"))
@@ -490,9 +521,9 @@ class TestPsiOnDemand:
     @pytest.mark.parametrize("name", BUNDLED + ["tree", "dag", "loop"])
     def test_lazy_maps_are_the_whole_psi(self, monkeypatch, name):
         """On the bundled scenarios (the transitive three-chain under its
-        Gamma among them) and on generated ones, the whole psi passes
-        check_kk_morphism, and the maps the pipeline built are the whole
-        psi's maps there."""
+        Gamma among them) and on generated ones, the whole psi at the
+        max_sigma the report prints passes check_kk_morphism, and the maps
+        the pipeline built are the whole psi's maps there."""
         if name in BUNDLED:
             scenarios = [parse_scenario(
                 (SCENARIOS / f"{name}.scn").read_text(), name)]
@@ -501,9 +532,11 @@ class TestPsiOnDemand:
         seen = _record_psi(monkeypatch)
         asked = 0
         for s in scenarios:
-            run_pipeline(s)
+            report = run_pipeline(s)
+            max_sigma = {stage.name: stage for stage in report.stages}[
+                "psi-morphism"].detail["max_sigma"]
             df = DenseFrame(s.pframe.frame, gamma=s.gamma, depth=s.depth)
-            psi = build_psi(s.space, s.pframe, df, max_sigma=s.max_sigma)
+            psi = build_psi(s.space, s.pframe, df, max_sigma=max_sigma)
             assert check_kk_morphism(psi)
             for path, mapping in seen["phi1"].items():
                 assert mapping == psi.phi1[path], path
